@@ -17,6 +17,7 @@
 
 #include <bit>
 #include <cassert>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -35,27 +36,57 @@ class BundledSkipList {
  public:
   static constexpr int kMaxHeight = 20;
 
+  /// A 32-byte header followed by exactly top_level + 1 tower links, so
+  /// next(0) sits at offset 32. The header leads with what one data-layer
+  /// hop reads (key, val, bundle head), so a hop touches one node line
+  /// (DESIGN.md §11). Nodes vary in size, so they are made and freed only
+  /// through create()/destroy(): a plain `delete` does not compile, because
+  /// a sized delete through the static type would pass the wrong size.
   struct Node {
     const K key;
     V val;
+    Bundle<Node> bundle;  // history of next(0) only (data layer)
     const int top_level;  // levels 0..top_level are linked
     Spinlock lock;
     std::atomic<bool> marked{false};
     std::atomic<bool> fully_linked{false};
-    std::atomic<Node*> next[kMaxHeight];
-    Bundle<Node> bundle;  // history of next[0] only (data layer)
 
-    Node(K k, V v, int top) : key(k), val(v), top_level(top) {
-      for (auto& n : next) n.store(nullptr, std::memory_order_relaxed);
+    std::atomic<Node*>& next(int l) {
+      assert(l >= 0 && l <= top_level);
+      return tower()[l];
+    }
+
+    static Node* create(K key, V val, int top) {
+      static_assert(sizeof(Node) % alignof(std::atomic<Node*>) == 0);
+      static_assert(alignof(Node) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      void* mem = ::operator new(sizeof(Node) +
+                                 sizeof(std::atomic<Node*>) * (top + 1));
+      Node* n = new (mem) Node(key, val, top);
+      for (int l = 0; l <= top; ++l)
+        new (&n->tower()[l]) std::atomic<Node*>(nullptr);
+      return n;
+    }
+
+    static void destroy(Node* n) {
+      n->~Node();  // tower links are trivially destructible
+      ::operator delete(n);
+    }
+
+   private:
+    Node(K k, V v, int top) : key(k), val(v), top_level(top) {}
+    ~Node() = default;
+
+    std::atomic<Node*>* tower() {
+      return reinterpret_cast<std::atomic<Node*>*>(this + 1);
     }
   };
 
   explicit BundledSkipList(uint64_t relax_threshold = 1, bool reclaim = false)
       : gts_(relax_threshold), reclaim_(reclaim) {
-    head_ = new Node(key_min_sentinel<K>(), V{}, kMaxHeight - 1);
-    tail_ = new Node(key_max_sentinel<K>(), V{}, kMaxHeight - 1);
+    head_ = Node::create(key_min_sentinel<K>(), V{}, kMaxHeight - 1);
+    tail_ = Node::create(key_max_sentinel<K>(), V{}, kMaxHeight - 1);
     for (int l = 0; l < kMaxHeight; ++l)
-      head_->next[l].store(tail_, std::memory_order_relaxed);
+      head_->next(l).store(tail_, std::memory_order_relaxed);
     head_->fully_linked.store(true, std::memory_order_relaxed);
     tail_->fully_linked.store(true, std::memory_order_relaxed);
     head_->bundle.init(tail_, 0);
@@ -66,8 +97,8 @@ class BundledSkipList {
   ~BundledSkipList() {
     Node* n = head_;
     while (n != nullptr) {
-      Node* nx = n->next[0].load(std::memory_order_relaxed);
-      delete n;
+      Node* nx = n->next(0).load(std::memory_order_relaxed);
+      Node::destroy(n);
       n = nx;
     }
   }
@@ -81,10 +112,10 @@ class BundledSkipList {
     Node* pred = head_;
     Node* found = nullptr;
     for (int l = kMaxHeight - 1; l >= 0; --l) {
-      Node* curr = pred->next[l].load(std::memory_order_acquire);
+      Node* curr = pred->next(l).load(std::memory_order_acquire);
       while (curr->key < key) {
         pred = curr;
-        curr = curr->next[l].load(std::memory_order_acquire);
+        curr = curr->next(l).load(std::memory_order_acquire);
       }
       if (curr->key == key) {
         found = curr;
@@ -123,17 +154,17 @@ class BundledSkipList {
         locks.acquire(preds[l]);
         valid = !preds[l]->marked.load(std::memory_order_acquire) &&
                 !succs[l]->marked.load(std::memory_order_acquire) &&
-                preds[l]->next[l].load(std::memory_order_acquire) == succs[l];
+                preds[l]->next(l).load(std::memory_order_acquire) == succs[l];
       }
       if (!valid) continue;  // locks released by LockSet dtor
-      Node* fresh = new Node(key, val, top);
+      Node* fresh = Node::create(key, val, top);
       for (int l = 0; l <= top; ++l)
-        fresh->next[l].store(succs[l], std::memory_order_relaxed);
+        fresh->next(l).store(succs[l], std::memory_order_relaxed);
       linearize_update<Node>(
           gts_, tid, {{&fresh->bundle, succs[0]}, {&preds[0]->bundle, fresh}},
           [&] {
             for (int l = 0; l <= top; ++l)
-              preds[l]->next[l].store(fresh, std::memory_order_release);
+              preds[l]->next(l).store(fresh, std::memory_order_release);
             fresh->fully_linked.store(true, std::memory_order_release);
           });
       return true;
@@ -161,17 +192,18 @@ class BundledSkipList {
       for (int l = 0; l <= top && valid; ++l) {
         locks.acquire(preds[l]);
         valid = !preds[l]->marked.load(std::memory_order_acquire) &&
-                preds[l]->next[l].load(std::memory_order_acquire) == victim;
+                preds[l]->next(l).load(std::memory_order_acquire) == victim;
       }
       if (!valid) continue;
-      Node* succ0 = victim->next[0].load(std::memory_order_acquire);
+      Node* succ0 = victim->next(0).load(std::memory_order_acquire);
       linearize_update<Node>(
           gts_, tid, {{&preds[0]->bundle, succ0}},
           [&] { victim->marked.store(true, std::memory_order_release); });
       for (int l = top; l >= 0; --l)
-        preds[l]->next[l].store(victim->next[l].load(std::memory_order_acquire),
+        preds[l]->next(l).store(victim->next(l).load(std::memory_order_acquire),
                                 std::memory_order_release);
-      ebr_.retire(tid, victim);
+      ebr_.retire(tid, victim,
+                  [](void* p) { Node::destroy(static_cast<Node*>(p)); });
       return true;
     }
   }
@@ -192,12 +224,12 @@ class BundledSkipList {
       const timestamp_t ts = rq_.begin(tid, gts_);
       find(lo, preds, succs);
       Node* pred = preds[0];  // data-layer node with key < lo
-      auto d = pred->bundle.dereference(ts);
+      auto d = hop(pred, ts);
       if (!d.found) continue;  // pred newer than our snapshot: restart
       Node* curr = d.ptr;
       bool ok = true;
       while (curr != tail_ && curr->key < lo) {
-        auto dn = curr->bundle.dereference(ts);
+        auto dn = hop(curr, ts);
         if (!dn.found) {
           ok = false;
           break;
@@ -210,7 +242,7 @@ class BundledSkipList {
       while (curr != tail_ && curr->key <= hi) {
         ++in_range_visits;
         out.emplace_back(curr->key, curr->val);
-        auto dn = curr->bundle.dereference(ts);
+        auto dn = hop(curr, ts);
         if (!dn.found) {
           ok = false;
           break;
@@ -256,7 +288,7 @@ class BundledSkipList {
       Node* curr = head_;  // min sentinel: its bundle has a ts-0 entry
       bool ok = true;
       while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
+        auto d = hop(curr, ts);
         if (!d.found) {
           ok = false;
           break;
@@ -267,7 +299,7 @@ class BundledSkipList {
       out.clear();
       while (curr != tail_ && curr->key <= hi) {
         out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
+        auto d = hop(curr, ts);
         if (!d.found) {
           ok = false;
           break;
@@ -307,7 +339,7 @@ class BundledSkipList {
       Node* curr = pred->bundle.dereference(ts).found ? pred : head_;
       bool ok = true;
       while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
+        auto d = hop(curr, ts);
         if (!d.found) {
           ok = false;
           break;
@@ -316,7 +348,7 @@ class BundledSkipList {
       }
       while (ok && curr != tail_ && curr->key <= hi) {
         out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
+        auto d = hop(curr, ts);
         if (!d.found) {
           ok = false;
           break;
@@ -335,7 +367,7 @@ class BundledSkipList {
     Node* curr = head_;
     while (curr != nullptr) {
       n += curr->bundle.reclaim_older(oldest, ebr_, tid);
-      curr = curr->next[0].load(std::memory_order_acquire);
+      curr = curr->next(0).load(std::memory_order_acquire);
     }
     return n;
   }
@@ -359,8 +391,8 @@ class BundledSkipList {
   // -- test-only introspection (quiescent callers) --------------------------
   std::vector<std::pair<K, V>> to_vector() const {
     std::vector<std::pair<K, V>> v;
-    for (Node* n = head_->next[0].load(std::memory_order_acquire); n != tail_;
-         n = n->next[0].load(std::memory_order_acquire))
+    for (Node* n = head_->next(0).load(std::memory_order_acquire); n != tail_;
+         n = n->next(0).load(std::memory_order_acquire))
       v.emplace_back(n->key, n->val);
     return v;
   }
@@ -373,12 +405,12 @@ class BundledSkipList {
     // timestamp-ordered newest-first.
     K prev = key_min_sentinel<K>();
     for (Node* n = head_; n != tail_;
-         n = n->next[0].load(std::memory_order_acquire)) {
+         n = n->next(0).load(std::memory_order_acquire)) {
       if (n != head_) {
         if (n->key <= prev) return false;
         prev = n->key;
       }
-      if (n->bundle.newest() != n->next[0].load(std::memory_order_acquire))
+      if (n->bundle.newest() != n->next(0).load(std::memory_order_acquire))
         return false;
       auto entries = n->bundle.snapshot_entries();
       for (size_t i = 1; i < entries.size(); ++i)
@@ -386,8 +418,8 @@ class BundledSkipList {
     }
     for (int l = 1; l < kMaxHeight; ++l) {
       K p = key_min_sentinel<K>();
-      for (Node* n = head_->next[l].load(std::memory_order_acquire); n != tail_;
-           n = n->next[l].load(std::memory_order_acquire)) {
+      for (Node* n = head_->next(l).load(std::memory_order_acquire); n != tail_;
+           n = n->next(l).load(std::memory_order_acquire)) {
         if (n->key <= p && p != key_min_sentinel<K>()) return false;
         p = n->key;
         if (n->top_level < l) return false;
@@ -399,7 +431,7 @@ class BundledSkipList {
   size_t total_bundle_entries() const {
     size_t n = 0;
     for (Node* c = head_; c != nullptr;
-         c = c->next[0].load(std::memory_order_acquire))
+         c = c->next(0).load(std::memory_order_acquire))
       n += c->bundle.size();
     return n;
   }
@@ -425,14 +457,23 @@ class BundledSkipList {
     int count_ = 0;
   };
 
+  /// One data-layer hop at snapshot `ts`. The prefetch of the newest
+  /// successor is only a hint — that node is usually the snapshot's
+  /// successor too, so its line is in flight while the bundle entry is
+  /// fetched — and the result comes from the bundle alone (DESIGN.md §11).
+  static BundleDeref<Node> hop(Node* curr, timestamp_t ts) {
+    __builtin_prefetch(curr->next(0).load(std::memory_order_relaxed));
+    return curr->bundle.dereference(ts);
+  }
+
   int find(K key, Node** preds, Node** succs) const {
     int lf = -1;
     Node* pred = head_;
     for (int l = kMaxHeight - 1; l >= 0; --l) {
-      Node* curr = pred->next[l].load(std::memory_order_acquire);
+      Node* curr = pred->next(l).load(std::memory_order_acquire);
       while (curr->key < key) {
         pred = curr;
-        curr = curr->next[l].load(std::memory_order_acquire);
+        curr = curr->next(l).load(std::memory_order_acquire);
       }
       if (lf == -1 && curr->key == key) lf = l;
       preds[l] = pred;

@@ -4,7 +4,7 @@
 // A History is a set of operation records, each carrying its real-time
 // invocation/response window (steady_clock, globally monotonic) together
 // with arguments and observed results. Threads record into private logs
-// (no synchronization on the hot path beyond the clock reads); merge()
+// (no synchronization on the hot path beyond the fenced clock reads); merge()
 // collects them once the run is quiescent.
 //
 // The checker (wing_gong.h) treats two operations as ordered iff one's
@@ -13,6 +13,7 @@
 // only make a non-linearizable history look linearizable with lower
 // probability, never flag a correct one.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -65,10 +66,18 @@ struct Op {
 
 using History = std::vector<Op>;
 
+/// Invocation/response stamp. The two seq_cst fences keep the op's memory
+/// effects inside its recorded window: without them an insert's last store
+/// can still sit in the store buffer when its response is stamped, or a
+/// later op's loads can run before its invocation is, and the checker then
+/// sees a real-time order the operations never had.
 inline uint64_t now_ns() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const auto t = std::chrono::steady_clock::now();
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
+          t.time_since_epoch())
           .count());
 }
 

@@ -285,6 +285,7 @@ TEST(RqTracker, OldestActiveIsMinOfAnnouncedAndClock) {
 }
 
 namespace rq_pending_test {
+std::atomic<bool> entered{false};
 std::atomic<bool> release{false};
 }  // namespace rq_pending_test
 
@@ -292,18 +293,23 @@ TEST(RqTracker, OldestActiveWaitsOutPendingAnnounce) {
   GlobalTimestamp gts;
   RqTracker rq;
   for (int i = 0; i < 5; ++i) gts.advance();  // clock = 5
+  rq_pending_test::entered = false;
   rq_pending_test::release = false;
   // Stall the query between reading the clock and publishing its value —
   // the exact window the PENDING protocol exists for.
   SyncHooks::rq_mid_announce.store(
       +[] {
+        rq_pending_test::entered.store(true, std::memory_order_release);
         while (!rq_pending_test::release.load(std::memory_order_acquire))
           cpu_relax();
       },
       std::memory_order_relaxed);
   std::thread query([&] { EXPECT_EQ(rq.begin(1, gts), 5u); });
-  // Wait until the query has posted PENDING (counted as active).
-  while (rq.active_count() == 0) cpu_relax();
+  // Wait until the query is parked inside the window (PENDING posted, clock
+  // read). Waiting only for PENDING would race the reset below: a query
+  // that had not loaded the hook yet would skip the stall.
+  while (!rq_pending_test::entered.load(std::memory_order_acquire))
+    cpu_relax();
   SyncHooks::reset();  // only the already-in-flight announce should stall
   for (int i = 0; i < 5; ++i) gts.advance();  // clock = 10
   std::atomic<timestamp_t> observed{RqTracker::kNone};

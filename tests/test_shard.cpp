@@ -14,7 +14,10 @@
 //   * the MaintenanceService drives per-shard bundle pruning and the
 //     EBR-RQ limbo drain without caller cooperation (the ROADMAP's
 //     "nothing calls flush_limbo unprompted" item), survives start/stop
-//     cycles under load, and backs off when idle.
+//     cycles under load, and backs off when idle;
+//   * the bundled skip list's right-sized towers are never read past their
+//     top under churn, both range-query paths and pruning (faults under
+//     ASan otherwise).
 
 #include <gtest/gtest.h>
 
@@ -649,6 +652,88 @@ TEST(Maintenance, TypeErasedMaintainHookSumsShardDuties) {
   EXPECT_GT(w.limbo_flushed, 0u);
   EXPECT_EQ(s.maintenance_backlog(), 0u);
   EXPECT_TRUE(w.epochs_quiesced);
+}
+
+// ---------------------------------------------------------------------------
+// Bundled skip-list towers (right-sized, DESIGN.md §11).
+// ---------------------------------------------------------------------------
+
+// A data-layer hop reads key, val and the bundle head from the node's first
+// cache line; a field added to the header must not push next(0) off it.
+static_assert(sizeof(BundledSkipList<int64_t, int64_t>::Node) == 32,
+              "skip-list node header must stay 32 bytes");
+
+// Every node carries exactly top_level + 1 links, so a link read past a
+// node's own tower lands in ASan's redzone. Tall towers (2^16 prefilled
+// keys), updates, both range-query entry paths and the maintenance prune
+// walk all run at once; odd keys are never updated, so every snapshot must
+// hold each odd key of its range.
+TEST(SkipListTowers, ChurnAndBothRangePathsStayInsideEachTower) {
+  constexpr KeyT kKeys = KeyT{1} << 17;
+  constexpr KeyT kBoundary = kKeys / 2;  // first key of shard 1
+  ShardedSet s("Bundle-skiplist",
+               small_range(2, 0, kKeys, SetOptions{.reclaim = true}));
+  ASSERT_EQ(s.shard_index(kBoundary - 1), 0u);
+  ASSERT_EQ(s.shard_index(kBoundary), 1u);
+  {
+    ThreadSession sess(s, 0);
+    for (KeyT k = 1; k < kKeys; k += 2) sess.insert(k, k);
+    for (KeyT k = 2; k < kKeys; k += 4) sess.insert(k, k);
+  }
+  MaintenanceService svc(s, MaintenanceOptions{
+                                .interval = std::chrono::milliseconds(1)});
+  svc.start();
+  std::atomic<uint64_t> bad{0};
+  testutil::run_threads(4, [&](int tid) {
+    ThreadSession sess(s, tid);
+    Xoshiro256 rng(907 + tid);
+    RangeSnapshot snap;
+    for (int i = 0; i < 3000; ++i) {
+      const KeyT even =
+          2 * (1 + static_cast<KeyT>(rng.next_range(kKeys / 2 - 1)));
+      switch (rng.next_range(4)) {
+        case 0:
+          sess.insert(even, even);
+          break;
+        case 1:
+          sess.remove(even);
+          break;
+        default: {
+          // Alternate a query inside one shard (range_query) with one
+          // across the boundary (the coordinated range_query_at).
+          const KeyT width = 1 + static_cast<KeyT>(rng.next_range(128));
+          const KeyT span = kBoundary - width - 1;
+          const KeyT lo =
+              i % 2 == 0
+                  ? (rng.next_range(2) == 0 ? 1 : kBoundary) +
+                        static_cast<KeyT>(rng.next_range(span))
+                  : kBoundary - 1 - static_cast<KeyT>(rng.next_range(width));
+          const KeyT hi = lo + width;
+          sess.range_query(lo, hi, snap);
+          KeyT expect_odd = lo % 2 == 0 ? lo + 1 : lo;
+          KeyT prev = lo - 1;
+          for (const auto& [k, v] : snap) {
+            if (k <= prev || k > hi || v != k) ++bad;
+            if (k % 2 != 0) {
+              if (k != expect_odd) ++bad;
+              expect_odd = k + 2;
+            }
+            prev = k;
+          }
+          if (expect_odd <= hi) ++bad;  // an odd key at the end went missing
+          break;
+        }
+      }
+    }
+  });
+  svc.stop();
+  EXPECT_EQ(bad.load(), 0u) << "a range result was unordered, out of "
+                               "bounds, or lost a never-updated odd key";
+  const ShardedSetStats st = s.stats();
+  EXPECT_GT(st.single_shard_rqs, 0u);
+  EXPECT_GT(st.coordinated_rqs, 0u);
+  EXPECT_GT(svc.total().passes, 0u);
+  EXPECT_TRUE(s.check_invariants());
 }
 
 }  // namespace
