@@ -120,9 +120,13 @@ class Bundle {
   Bundle(const Bundle&) = delete;
   Bundle& operator=(const Bundle&) = delete;
 
-  ~Bundle() {
-    // Quiescent teardown only: chains go straight back to their pools.
+  ~Bundle() { clear(); }
+
+  /// Quiescent teardown only: the chain goes straight back to its pools
+  /// and the bundle is left empty, as a pooled node is reused.
+  void clear() {
     Entry* e = head_.load(std::memory_order_relaxed);
+    head_.store(nullptr, std::memory_order_relaxed);
     while (e != nullptr) {
       Entry* n = e->next.load(std::memory_order_relaxed);
       Entry::recycle(e);
@@ -255,7 +259,12 @@ class Bundle {
            e->ts.load(std::memory_order_relaxed) > oldest_active) {
       e = e->next.load(std::memory_order_relaxed);
     }
-    if (e == nullptr) return 0;
+    // Usually the kept entry is already the last one (one entry per
+    // bundle); then skip the locked write, which would dirty a line the
+    // next range query must fetch again. Only a truncation ever changes a
+    // reachable entry's `next` after publication, so a null read is final.
+    if (e == nullptr || e->next.load(std::memory_order_relaxed) == nullptr)
+      return 0;
     // Acquire half orders the truncation against our reads of the stale
     // chain; release half is for readers mid-walk that load the nullptr.
     Entry* stale = e->next.exchange(nullptr, std::memory_order_acq_rel);

@@ -1,5 +1,6 @@
 #pragma once
-// Per-thread pooled allocation for bundle entries (the update hot path).
+// Per-thread pooled allocation for bundle entries and skip-list nodes (the
+// update hot path).
 //
 // Every update in every bundled structure creates one BundleEntry per
 // changed bundle (Algorithm 2 line 2), and the background cleaner retires
@@ -10,19 +11,26 @@
 //
 //   * acquire(tid) pops from the calling thread's cache-padded free list;
 //     an empty list first drains the thread's inbox of recycled entries,
-//     and only then touches the allocator (one slab of kSlabEntries).
-//   * Entries are stamped at slab construction with the pool slot that
+//     then constructs a fresh entry at the thread's slab cursor, and only
+//     when that slab is spent touches the allocator (one 16 KiB slab
+//     from the SlabSource, core/slab_source.h: huge-page chunks, never
+//     unmapped).
+//   * Entries are stamped at construction with the pool slot that
 //     allocated them (pool_tid). release() routes an entry back to its
 //     *owner's* inbox no matter which thread frees it — the cleaner thread
 //     drains EBR bags, so recycled entries flow cleaner -> updater without
 //     any thread ever pushing to a list another thread pops from
 //     (single-producer free list + MPSC inbox; the inbox push is a CAS
 //     prepend, which is ABA-safe because nothing ever pops a single node).
-//   * Entry objects are constructed once per slab and never destructed;
-//     "free" entries are live objects whose `next` atomic doubles as the
+//   * Entry objects are constructed once and never destructed; "free"
+//     entries are live objects whose `next` atomic doubles as the
 //     free-list link. No placement-new churn, no aliasing tricks, and the
 //     atomics stay valid objects for stale readers racing a recycle (which
 //     EBR's grace period is what makes safe in the first place).
+//   * Size classes: a type whose blocks vary in size (the bundled skip
+//     list's node, whose tower is part of the block) gets one free list
+//     and one inbox per class in every slot, and every class of a slot
+//     carves from the same slab, so a rare class reserves nothing.
 //
 // The malloc bypass (set_pooling_enabled(false), or per-pool) keeps the
 // old new/delete behaviour so benches can ablate pooled vs malloc with the
@@ -34,10 +42,14 @@
 // the entry sits in a free list, so a reader that reaches a recycled entry
 // *before* its EBR grace period has elapsed faults loudly instead of
 // reading a stale-but-plausible timestamp (exercised by
-// tests/test_entry_pool.cpp's churn test).
+// tests/test_entry_pool.cpp's churn test). Slab memory not yet carved is
+// poisoned too, and every block is followed by a redzone that stays
+// poisoned, so a read past a block faults instead of landing in its
+// neighbour.
 //
 // Duck-typing requirements on T:
-//   * constructor T(int32_t owner_tid);
+//   * constructor T(int32_t owner_tid), or T(int32_t owner_tid, int cls)
+//     for size-classed types;
 //   * a free-list link: either a member `std::atomic<T*> next` (the
 //     BundleEntry pattern — the chain link doubles as the pool link), or,
 //     for types whose `next` is an array or must stay live while pooled
@@ -46,9 +58,14 @@
 //   * member `const int32_t pool_tid`;
 //   * `static constexpr size_t kPoolPoisonBytes` — leading bytes safe to
 //     poison while pooled (must not cover the link or `pool_tid`);
-//   * optional `static constexpr size_t kPoolSlabEntries` — overrides the
-//     default slab granularity (512) for bulky types like skip-list nodes.
+//   * optional `static constexpr size_t kPoolSlabEntries` — slab size in
+//     blocks instead of the default 16 KiB;
+//   * optional size classes: `static constexpr int kPoolClasses`,
+//     `static constexpr size_t pool_block_bytes(int cls)` and a member
+//     `int pool_class() const`; such types are constructed with their
+//     class and must be at most default-new aligned.
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -59,9 +76,9 @@
 #include <vector>
 
 #include "common/cacheline.h"
-#include "common/numa.h"
 #include "common/spinlock.h"
 #include "common/thread_registry.h"
+#include "core/slab_source.h"
 #include "obs/metrics.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -96,16 +113,17 @@ inline constexpr int32_t pool_owner_tag(int arena, int tid) noexcept {
 
 /// Aggregated counters for one pool (or, via EntryPoolRegistry::totals(),
 /// every pool in the process). `hits` are acquires served without touching
-/// the allocator; `misses` are acquires that allocated (a slab, or a
-/// bypass malloc); `recycled` counts entries returned to an inbox.
+/// the allocator (free list, inbox, or the current slab); `misses` are
+/// acquires that allocated (a slab, or a bypass malloc); `recycled` counts
+/// entries returned to an inbox.
 struct EntryPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t recycled = 0;
-  uint64_t slabs = 0;     // slab allocations (one malloc each)
+  uint64_t slabs = 0;     // slabs taken from the SlabSource
   uint64_t malloced = 0;  // bypass allocations (one malloc each)
 
-  /// Heap allocations attributable to the entry path.
+  /// Allocator touches attributable to the pooled paths.
   uint64_t allocs() const { return slabs + malloced; }
 
   EntryPoolStats& operator-=(const EntryPoolStats& o) {
@@ -224,6 +242,7 @@ class EntryPoolRegistry {
 /// The ShardedSet names one arena per shard index ("shard0", "shard1",
 /// ...), so a shard's entries live in shard-owned slabs — first-touch
 /// placed by the acquiring thread and, when the arena carries a NUMA node,
+/// carved from that node's SlabSource cursor, whose chunks are
 /// mbind-preferred onto it (common/numa.h).
 ///
 /// Arenas are find-or-create by name and never destroyed (ids are stable
@@ -292,8 +311,9 @@ class ArenaRegistry {
         });
     ratio_handles_[id] = obs::registry().add_callback(
         MetricKind::kGauge, "bref_entry_pool_arena_hit_ratio",
-        "Share of this arena's acquires served from its own free lists / "
-        "recycle inboxes (locality: no allocator, no foreign slab)",
+        "Share of this arena's acquires served from its own free lists, "
+        "recycle inboxes or current slab (locality: no allocator, no "
+        "foreign slab)",
         label, [id] {
           const EntryPoolStats s =
               EntryPoolRegistry::instance().arena_totals(id);
@@ -342,62 +362,97 @@ class ArenaScope {
 template <typename T>
 class EntryPool {
  public:
-  /// Entries per slab: one miss buys this many subsequent local hits. The
-  /// default — 512 32-byte bundle entries = 16 KiB per slab — is small
-  /// enough that a thread that only ever needs a handful of entries wastes
-  /// little; bulkier types (skip-list nodes carry a kMaxHeight link array)
-  /// dial it down via T::kPoolSlabEntries.
-  static constexpr size_t kSlabEntries = [] {
-    if constexpr (requires { T::kPoolSlabEntries; })
-      return size_t{T::kPoolSlabEntries};
+  /// Size classes: one unless T declares kPoolClasses (see the header).
+  static constexpr int kClasses = [] {
+    if constexpr (requires { T::kPoolClasses; })
+      return int{T::kPoolClasses};
     else
-      return size_t{512};
+      return 1;
   }();
 
+  /// Bytes of one class-`cls` object.
+  static constexpr size_t block_bytes(int cls = 0) {
+    if constexpr (kClasses > 1)
+      return T::pool_block_bytes(cls);
+    else
+      return sizeof(T);
+  }
+
+  /// Under ASan, bytes of poisoned redzone after every pooled block.
+#ifdef BREF_ENTRY_POOL_ASAN
+  static constexpr size_t kRedzoneBytes = 16;
+#else
+  static constexpr size_t kRedzoneBytes = 0;
+#endif
+
+  /// Bytes a class-`cls` block occupies in a slab: the object, then the
+  /// redzone, rounded to T's alignment.
+  static constexpr size_t stride(int cls = 0) {
+    return round_up(block_bytes(cls) + kRedzoneBytes, alignof(T));
+  }
+
+  /// Class-`cls` blocks one slab holds.
+  static constexpr size_t slab_blocks(int cls = 0) {
+    return slab_bytes() / stride(cls);
+  }
+
   /// Leaky singleton: never destroyed, so a structure destroyed during
-  /// static teardown can still recycle its chains. Slabs stay reachable
-  /// through the instance pointer, so LeakSanitizer does not report them.
+  /// static teardown can still recycle its chains.
   static EntryPool& instance() {
     static EntryPool* pool = new EntryPool();
     return *pool;
   }
 
-  /// Pop an entry for thread `tid`, from the current arena's slots (the
-  /// default arena unless an ArenaScope is live). The returned entry's
-  /// fields (other than pool_tid) are unspecified; the caller initializes
-  /// them before publication.
-  T* acquire(int tid) {
+  /// Pop a class-`cls` block for thread `tid`, from the current arena's
+  /// slots (the default arena unless an ArenaScope is live). The returned
+  /// object's fields (other than pool_tid and the class) are unspecified;
+  /// the caller initializes them before publication.
+  T* acquire(int tid, int cls = 0) {
     assert(tid >= 0 && tid < kMaxThreads);
+    assert(cls >= 0 && cls < kClasses);
     const int arena = current_arena();
     PerThread& pt = slot(arena, tid);
     if (!enabled_.load(std::memory_order_relaxed)) {
       bump(pt.misses);
       bump(pt.malloced);
-      return new T(kPoolMalloced);
+      return acquire_unpooled(cls);
     }
-    T* e = pt.free_head;
+    T* e = pt.free_head[cls];
     if (e == nullptr) {
       // Acquire pairs with the release CAS in release_pooled: everything
       // the recycler did before pushing (EBR drain included) is visible
       // before we hand the entry out for reuse.
-      e = pt.inbox.exchange(nullptr, std::memory_order_acquire);
+      e = pt.inbox[cls].exchange(nullptr, std::memory_order_acquire);
     }
-    if (e == nullptr) {
-      e = new_slab(pt, arena, tid);
-      bump(pt.misses);
-    } else {
-      bump(pt.hits);
-    }
-    pt.free_head = link_of(e).load(std::memory_order_relaxed);
+    if (e == nullptr) return carve(pt, arena, tid, cls);
+    bump(pt.hits);
+    pt.free_head[cls] = link_of(e).load(std::memory_order_relaxed);
     unpoison(e);
     return e;
+  }
+
+  /// The tagged heap path: the malloc bypass, and callers with no dense
+  /// thread id (sentinels built on a constructing thread). release()
+  /// routes the block back to the heap.
+  static T* acquire_unpooled(int cls = 0) {
+    if constexpr (kClasses > 1) {
+      static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+      return construct(::operator new(block_bytes(cls)), kPoolMalloced, cls);
+    } else {
+      return new T(kPoolMalloced);
+    }
   }
 
   /// Return an entry from any thread. Routes to the owner slot's inbox;
   /// bypass entries go back to the heap.
   static void release(T* e) {
     if (e->pool_tid == kPoolMalloced) {
-      delete e;
+      if constexpr (kClasses > 1) {
+        e->~T();
+        ::operator delete(static_cast<void*>(e));
+      } else {
+        delete e;
+      }
       return;
     }
     instance().release_pooled(e);
@@ -443,8 +498,13 @@ class EntryPool {
 
  private:
   struct PerThread {
-    T* free_head = nullptr;          // owner-only LIFO, linked via T::next
-    std::atomic<T*> inbox{nullptr};  // MPSC: any thread pushes, owner drains
+    // Owner-only LIFOs, linked via T's pool link, one per class.
+    T* free_head[kClasses] = {};
+    // MPSC per class: any thread pushes, owner drains.
+    std::atomic<T*> inbox[kClasses] = {};
+    // Owner-only bump cursor into the slot's current slab.
+    char* carve_pos = nullptr;
+    char* carve_end = nullptr;
     // Single-writer counters (owner thread) except `recycled` (any
     // pusher); all atomic so aggregation never races the hot path.
     std::atomic<uint64_t> hits{0};
@@ -471,9 +531,37 @@ class EntryPool {
         [](bool on) { instance().set_pooling_enabled(on); });
   }
 
+  static constexpr size_t round_up(size_t n, size_t to) {
+    return (n + to - 1) / to * to;
+  }
+
+  /// Slab size: one miss buys this many bytes of subsequent local hits.
+  /// The default — 16 KiB, 512 bundle entries — is small enough that a
+  /// thread that only ever needs a handful of entries wastes little.
+  static constexpr size_t slab_bytes() {
+    if constexpr (requires { T::kPoolSlabEntries; })
+      return size_t{T::kPoolSlabEntries} * stride();
+    else
+      return size_t{16} << 10;
+  }
+
   /// Single-writer increment: a plain add, not a locked RMW.
   static void bump(std::atomic<uint64_t>& c) {
     c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  static T* construct(void* mem, int32_t tag, int cls) {
+    if constexpr (kClasses > 1)
+      return ::new (mem) T(tag, cls);
+    else
+      return ::new (mem) T(tag);
+  }
+
+  static int class_of(const T* e) {
+    if constexpr (kClasses > 1)
+      return e->pool_class();
+    else
+      return 0;
   }
 
   /// The free-list/inbox link of an entry: `T::pool_link()` when the type
@@ -511,62 +599,61 @@ class EntryPool {
     // belongs to, independent of the releasing thread's arena scope.
     const int32_t tag = e->pool_tid;
     PerThread& pt = slot(tag / kMaxThreads, tag % kMaxThreads);
+    std::atomic<T*>& inbox = pt.inbox[class_of(e)];
     poison(e);
-    T* head = pt.inbox.load(std::memory_order_relaxed);
+    T* head = inbox.load(std::memory_order_relaxed);
     do {
       link_of(e).store(head, std::memory_order_relaxed);
       // Release pairs with the acquire drain in acquire(); CAS-prepend is
       // ABA-safe (no one pops individual nodes from the inbox).
-    } while (!pt.inbox.compare_exchange_weak(head, e,
-                                             std::memory_order_release,
-                                             std::memory_order_relaxed));
+    } while (!inbox.compare_exchange_weak(head, e, std::memory_order_release,
+                                          std::memory_order_relaxed));
     pt.recycled.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Allocate and link one slab into (arena, tid)'s free list; returns the
-  /// head. Placement: the mbind preference (when the arena carries a NUMA
-  /// node) is applied BEFORE the construction loop below first-touches
-  /// every entry on the acquiring thread, so the pages land on the arena's
-  /// node either way the kernel honors.
-  T* new_slab(PerThread& pt, int arena, int tid) {
-    T* slab = static_cast<T*>(::operator new(
-        kSlabEntries * sizeof(T), std::align_val_t(alignof(T))));
-    numa_bind_memory(slab, kSlabEntries * sizeof(T),
-                     ArenaRegistry::instance().numa_node(arena));
-    const int32_t tag = pool_owner_tag(arena, tid);
-    for (size_t i = 0; i < kSlabEntries; ++i) {
-      T* e = ::new (static_cast<void*>(slab + i)) T(tag);
-      link_of(e).store(i + 1 < kSlabEntries ? slab + i + 1 : nullptr,
-                       std::memory_order_relaxed);
+  /// Construct a fresh class-`cls` block at (arena, tid)'s slab cursor,
+  /// first taking a new slab from the SlabSource when the current one
+  /// cannot fit it (the leftover, less than one block, is abandoned). The
+  /// SlabSource applies the arena's NUMA preference per chunk; the
+  /// construction here first-touches the block on the acquiring thread.
+  T* carve(PerThread& pt, int arena, int tid, int cls) {
+    const size_t step = stride(cls);
+    if (static_cast<size_t>(pt.carve_end - pt.carve_pos) < step) {
+      const size_t bytes = std::max(slab_bytes(), step);
+      pt.carve_pos = static_cast<char*>(SlabSource::instance().allocate(
+          bytes, ArenaRegistry::instance().numa_node(arena)));
+      pt.carve_end = pt.carve_pos + bytes;
+      poison_range(pt.carve_pos, bytes);
+      bump(pt.slabs);
+      bump(pt.misses);
+    } else {
+      bump(pt.hits);
     }
-    {
-      std::lock_guard<Spinlock> g(slabs_lock_);
-      slab_list_.push_back(slab);
-    }
-    bump(pt.slabs);
-    pt.free_head = slab;
-    return slab;
+    void* mem = pt.carve_pos;
+    pt.carve_pos += step;
+    unpoison_range(mem, block_bytes(cls));
+    return construct(mem, pool_owner_tag(arena, tid), cls);
   }
 
-  static void poison(T* e) {
+  static void poison_range(void* p, size_t n) {
 #ifdef BREF_ENTRY_POOL_ASAN
-    __asan_poison_memory_region(e, T::kPoolPoisonBytes);
+    __asan_poison_memory_region(p, n);
 #else
-    (void)e;
+    (void)p, (void)n;
 #endif
   }
-  static void unpoison(T* e) {
+  static void unpoison_range(void* p, size_t n) {
 #ifdef BREF_ENTRY_POOL_ASAN
-    __asan_unpoison_memory_region(e, T::kPoolPoisonBytes);
+    __asan_unpoison_memory_region(p, n);
 #else
-    (void)e;
+    (void)p, (void)n;
 #endif
   }
+  static void poison(T* e) { poison_range(e, T::kPoolPoisonBytes); }
+  static void unpoison(T* e) { unpoison_range(e, T::kPoolPoisonBytes); }
 
   std::atomic<bool> enabled_{true};
-  Spinlock slabs_lock_;
-  std::vector<T*> slab_list_;  // retained for reachability; never freed
-  ArenaSlots base_;            // arena 0: the default (unscoped) slots
+  ArenaSlots base_;  // arena 0: the default (unscoped) slots
   std::atomic<ArenaSlots*> extra_[kMaxArenas] = {};  // lazily materialized
 };
 

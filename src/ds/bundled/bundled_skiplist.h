@@ -39,14 +39,17 @@ class BundledSkipList {
   /// A 32-byte header followed by exactly top_level + 1 tower links, so
   /// next(0) sits at offset 32. The header leads with what one data-layer
   /// hop reads (key, val, bundle head), so a hop touches one node line
-  /// (DESIGN.md §11). Nodes vary in size, so they are made and freed only
-  /// through create()/destroy(): a plain `delete` does not compile, because
-  /// a sized delete through the static type would pass the wrong size.
+  /// (DESIGN.md §11). Nodes are pooled blocks of exactly that size, one
+  /// size class per height, from EntryPool (core/entry_pool.h): the pool
+  /// constructs a block once, create() reinitializes it, destroy() hands
+  /// it back to its owner's slot. The constructor and destructor are
+  /// private, so a plain `new` or `delete` does not compile.
   struct Node {
-    const K key;
+    K key;
     V val;
-    Bundle<Node> bundle;  // history of next(0) only (data layer)
-    const int top_level;  // levels 0..top_level are linked
+    Bundle<Node> bundle;         // history of next(0) only (data layer)
+    const int32_t pool_tid;      // owner slot (pool_owner_tag) or heap
+    const uint8_t top_level;     // levels 0..top_level are linked
     Spinlock lock;
     std::atomic<bool> marked{false};
     std::atomic<bool> fully_linked{false};
@@ -56,25 +59,58 @@ class BundledSkipList {
       return tower()[l];
     }
 
-    static Node* create(K key, V val, int top) {
-      static_assert(sizeof(Node) % alignof(std::atomic<Node*>) == 0);
-      static_assert(alignof(Node) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-      void* mem = ::operator new(sizeof(Node) +
-                                 sizeof(std::atomic<Node*>) * (top + 1));
-      Node* n = new (mem) Node(key, val, top);
-      for (int l = 0; l <= top; ++l)
-        new (&n->tower()[l]) std::atomic<Node*>(nullptr);
-      return n;
+    /// A node of height top + 1 from thread `tid`'s slot of the current
+    /// arena. Its links are unspecified: insert stores every one before
+    /// publication.
+    static Node* create(int tid, K key, V val, int top) {
+      return init(EntryPool<Node>::instance().acquire(tid, top), key, val);
     }
 
-    static void destroy(Node* n) {
-      n->~Node();  // tower links are trivially destructible
-      ::operator delete(n);
+    /// Sentinels are built on the constructing thread, whose dense id is
+    /// unknown, so like Bundle::init they take the tagged heap path. Every
+    /// link starts null.
+    static Node* create_sentinel(K key) {
+      return init(EntryPool<Node>::acquire_unpooled(kMaxHeight - 1), key,
+                  V{});
     }
+
+    /// Recycle the bundle's chain, then return the block to its owner's
+    /// slot (or the heap, for sentinels and the malloc bypass).
+    static void destroy(Node* n) {
+      n->bundle.clear();
+      EntryPool<Node>::release(n);
+    }
+
+    // EntryPool duck typing: one size class per height; the free-list link
+    // is next(0), unused once EBR's grace period has passed; key, val and
+    // the bundle head are ASan-poisoned while pooled.
+    static constexpr int kPoolClasses = kMaxHeight;
+    static constexpr size_t pool_block_bytes(int cls) {
+      return sizeof(Node) + sizeof(std::atomic<Node*>) * (cls + 1);
+    }
+    static constexpr size_t kPoolPoisonBytes =
+        sizeof(K) + sizeof(V) + sizeof(Bundle<Node>);
+    int pool_class() const { return top_level; }
+    std::atomic<Node*>& pool_link() { return next(0); }
 
    private:
-    Node(K k, V v, int top) : key(k), val(v), top_level(top) {}
-    ~Node() = default;
+    friend class EntryPool<Node>;
+
+    Node(int32_t owner, int top)
+        : key{}, val{}, pool_tid(owner), top_level(static_cast<uint8_t>(top)) {
+      static_assert(sizeof(Node) % alignof(std::atomic<Node*>) == 0);
+      for (int l = 0; l <= top; ++l)
+        ::new (&tower()[l]) std::atomic<Node*>(nullptr);
+    }
+    ~Node() = default;  // tower links are trivially destructible
+
+    static Node* init(Node* n, K key, V val) {
+      n->key = key;
+      n->val = val;
+      n->marked.store(false, std::memory_order_relaxed);
+      n->fully_linked.store(false, std::memory_order_relaxed);
+      return n;
+    }
 
     std::atomic<Node*>* tower() {
       return reinterpret_cast<std::atomic<Node*>*>(this + 1);
@@ -83,8 +119,8 @@ class BundledSkipList {
 
   explicit BundledSkipList(uint64_t relax_threshold = 1, bool reclaim = false)
       : gts_(relax_threshold), reclaim_(reclaim) {
-    head_ = Node::create(key_min_sentinel<K>(), V{}, kMaxHeight - 1);
-    tail_ = Node::create(key_max_sentinel<K>(), V{}, kMaxHeight - 1);
+    head_ = Node::create_sentinel(key_min_sentinel<K>());
+    tail_ = Node::create_sentinel(key_max_sentinel<K>());
     for (int l = 0; l < kMaxHeight; ++l)
       head_->next(l).store(tail_, std::memory_order_relaxed);
     head_->fully_linked.store(true, std::memory_order_relaxed);
@@ -157,7 +193,7 @@ class BundledSkipList {
                 preds[l]->next(l).load(std::memory_order_acquire) == succs[l];
       }
       if (!valid) continue;  // locks released by LockSet dtor
-      Node* fresh = Node::create(key, val, top);
+      Node* fresh = Node::create(tid, key, val, top);
       for (int l = 0; l <= top; ++l)
         fresh->next(l).store(succs[l], std::memory_order_relaxed);
       linearize_update<Node>(
@@ -383,9 +419,15 @@ class BundledSkipList {
   EntryPoolStats entry_pool_stats() const {
     return EntryPool<BundleEntry<Node>>::instance().stats();
   }
-  /// Pooled vs malloc ablation toggle; flip only while quiescent.
+  /// Counters for the node pool (shared like the entry pool).
+  static EntryPoolStats node_pool_stats() {
+    return EntryPool<Node>::instance().stats();
+  }
+  /// Pooled vs malloc ablation toggle for entries and nodes; flip only
+  /// while quiescent.
   static void set_entry_pooling(bool on) {
     EntryPool<BundleEntry<Node>>::instance().set_pooling_enabled(on);
+    EntryPool<Node>::instance().set_pooling_enabled(on);
   }
 
   // -- test-only introspection (quiescent callers) --------------------------

@@ -1,18 +1,24 @@
-// The bundle-entry pool (core/entry_pool.h): allocation-freedom of the
+// The bundle-entry and skip-list node pool (core/entry_pool.h) and the
+// slab source behind it (core/slab_source.h): allocation-freedom of the
 // steady-state update hot path, recycle routing (EBR drain -> owner
-// inbox), the malloc-bypass ablation mode, and — under ASan, where pooled
-// free entries are poisoned — that recycled entries are never handed out
-// while a reader could still reach them.
+// inbox), exact-size node blocks per tower height, the malloc-bypass
+// ablation mode, and — under ASan, where pooled free entries are poisoned —
+// that recycled entries are never handed out while a reader could still
+// reach them.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "core/bundle.h"
 #include "core/bundle_cleaner.h"
 #include "core/entry_pool.h"
+#include "core/slab_source.h"
+#include "ds/bundled/bundled_skiplist.h"
 #include "test_util.h"
 
 namespace bref {
@@ -47,7 +53,7 @@ TEST(EntryPool, RemoteFreeRoutesToOwnerInbox) {
   // from no other slot, since releases route by the entry's own tag).
   bool resurfaced = false;
   std::vector<FakeEntry*> held;
-  for (size_t i = 0; i < EntryPool<FakeEntry>::kSlabEntries + 2; ++i) {
+  for (size_t i = 0; i < EntryPool<FakeEntry>::slab_blocks() + 2; ++i) {
     FakeEntry* got = pool.acquire(7);
     EXPECT_EQ(got->pool_tid, 7);
     held.push_back(got);
@@ -115,6 +121,7 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   };
   for (int r = 0; r < 30; ++r) round();  // warm-up: size the pools
   const EntryPoolStats warm = sl.entry_pool_stats();
+  const EntryPoolStats warm_nodes = SL::node_pool_stats();
   ASSERT_GT(warm.hits + warm.misses, 0u);
   for (int r = 0; r < 60; ++r) round();  // steady state
   EntryPoolStats steady = sl.entry_pool_stats();
@@ -124,6 +131,14 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
       << " times (hits=" << steady.hits << ")";
   EXPECT_GT(steady.hits, 0u);
   EXPECT_GT(steady.recycled, 0u) << "no entry was ever recycled";
+  // Removed nodes come back through the same pipeline (EBR drain -> owner
+  // inbox), so inserts stop touching the allocator too.
+  EntryPoolStats nodes = SL::node_pool_stats();
+  nodes -= warm_nodes;
+  EXPECT_EQ(nodes.misses, 0u)
+      << "steady-state inserts took " << nodes.misses << " node slabs";
+  EXPECT_GT(nodes.hits, 0u);
+  EXPECT_GT(nodes.recycled, 0u) << "no node was ever recycled";
   EXPECT_TRUE(sl.check_invariants());
 }
 
@@ -175,6 +190,137 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
 }
 
 // ---------------------------------------------------------------------------
+// Skip-list nodes: exact-size blocks, one size class per tower height.
+// ---------------------------------------------------------------------------
+
+using SkipList = BundledSkipList<KeyT, ValT>;
+using SkipNode = SkipList::Node;
+using NodePool = EntryPool<SkipNode>;
+
+TEST(NodePool, EveryHeightRoundTripsAtExactSize) {
+  SkipList::set_entry_pooling(true);
+  // A fresh arena: its slot starts with empty free lists, so every create
+  // below carves, back to back, from one slab.
+  ArenaScope scope(ArenaRegistry::instance().acquire("test-node-sizes"));
+  constexpr int kTid = 5;
+  char* expect = nullptr;
+  for (int h = 0; h < SkipList::kMaxHeight; ++h) {
+    const size_t bytes = 32 + 8 * static_cast<size_t>(h + 1);
+    EXPECT_EQ(NodePool::block_bytes(h), bytes);
+    // Packed: no allocator header, no padding; only ASan's redzone.
+    EXPECT_EQ(NodePool::stride(h), bytes + NodePool::kRedzoneBytes);
+    SkipNode* n = SkipNode::create(kTid, h, -h, h);
+    if (expect != nullptr) {
+      EXPECT_EQ(reinterpret_cast<char*>(n), expect);
+    }
+    expect = reinterpret_cast<char*>(n) + NodePool::stride(h);
+    EXPECT_EQ(n->top_level, h);
+    EXPECT_EQ(n->pool_tid, pool_owner_tag(current_arena(), kTid));
+    EXPECT_EQ(n->key, h);
+    EXPECT_EQ(n->val, -h);
+    for (int l = 0; l <= h; ++l) n->next(l).store(n);  // whole tower is ours
+    SkipNode::destroy(n);
+    // Same height, same slot: the freed block comes straight back.
+    SkipNode* again = SkipNode::create(kTid, h + 1, 0, h);
+    EXPECT_EQ(again, n);
+    EXPECT_EQ(again->key, h + 1);
+    SkipNode::destroy(again);
+  }
+}
+
+TEST(NodePool, FreedBlockIsNeverReusedByAnotherHeight) {
+  SkipList::set_entry_pooling(true);
+  ArenaScope scope(ArenaRegistry::instance().acquire("test-node-classes"));
+  constexpr int kTid = 5;
+  for (int h = 0; h < SkipList::kMaxHeight; ++h) {
+    SkipNode* freed = SkipNode::create(kTid, 1, 1, h);
+    SkipNode::destroy(freed);
+    std::vector<SkipNode*> others;
+    for (int o = 0; o < SkipList::kMaxHeight; ++o) {
+      if (o == h) continue;
+      SkipNode* n = SkipNode::create(kTid, 2, 2, o);
+      EXPECT_NE(n, freed) << "height " << o << " reused a height-" << h
+                          << " block";
+      EXPECT_EQ(n->top_level, o);
+      others.push_back(n);
+    }
+    SkipNode* same = SkipNode::create(kTid, 3, 3, h);
+    EXPECT_EQ(same, freed);
+    SkipNode::destroy(same);
+    for (SkipNode* n : others) SkipNode::destroy(n);
+  }
+}
+
+// One thread only inserts and another only removes the same keys; every
+// removed node must travel back to the inserter's slot (remover's EBR
+// drain -> the inserter's inbox), or the inserter carves fresh memory each
+// round and the pool grows without bound. Each round builds a fresh list,
+// whose per-thread level generators restart from the same seed, so every
+// round draws the same tower heights: after the first round each size
+// class already holds exactly the blocks the next round needs, and any
+// slab taken later is a free that did not come home.
+TEST(NodePool, RemoteRemovesRecycleToTheInsertersSlot) {
+  SkipList::set_entry_pooling(true);
+  const int arena = ArenaRegistry::instance().acquire("test-node-recycle");
+  constexpr int kInserter = 3, kRemover = 4, kKeys = 2000, kRounds = 50;
+  auto& pool = NodePool::instance();
+  auto round = [&] {
+    SkipList sl(1, /*reclaim=*/true);
+    std::thread([&] {
+      ArenaScope scope(arena);
+      for (KeyT k = 1; k <= kKeys; ++k) ASSERT_TRUE(sl.insert(kInserter, k, k));
+    }).join();
+    std::thread([&] {
+      ArenaScope scope(arena);
+      for (KeyT k = 1; k <= kKeys; ++k) ASSERT_TRUE(sl.remove(kRemover, k));
+      sl.ebr().quiesce(kRemover);  // ripen and drain the remover's bag
+    }).join();
+    EXPECT_EQ(sl.size_slow(), 0u);
+  };
+  round();  // warm-up: carve one round's worth of every size class
+  const EntryPoolStats warm = pool.arena_stats(arena);
+  ASSERT_GT(warm.slabs, 0u);
+  for (int r = 0; r < kRounds; ++r) round();
+  EntryPoolStats grown = pool.arena_stats(arena);
+  grown -= warm;
+  EXPECT_EQ(grown.slabs, 0u) << "the inserter's slot kept taking slabs";
+  EXPECT_EQ(grown.misses, 0u);
+  EXPECT_EQ(grown.hits, uint64_t{kKeys} * kRounds);
+  EXPECT_EQ(grown.recycled, uint64_t{kKeys} * kRounds)
+      << "a removed node did not return to an inbox";
+}
+
+TEST(SlabSource, ChunksAreHugePageAlignedAndAdvised) {
+  auto& src = SlabSource::instance();
+  // A whole-chunk request cannot share the current chunk's remainder, so
+  // it starts a chunk of its own; so does the next request after it.
+  void* whole = src.allocate(SlabSource::kChunkBytes, -1);
+  void* next = src.allocate(4096, -1);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(whole) % SlabSource::kChunkBytes, 0u);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(next) % SlabSource::kChunkBytes, 0u);
+  // Slabs after that are carved back to back from the same chunk.
+  void* after = src.allocate(100, -1);
+  EXPECT_EQ(static_cast<char*>(after), static_cast<char*>(next) + 4096);
+  std::memset(whole, 0xab, SlabSource::kChunkBytes);  // all of it is ours
+  const SlabSource::Stats st = src.stats();
+  EXPECT_GE(st.chunks, 2u);
+  // MADV_HUGEPAGE succeeds, or fails only because the kernel has no THP.
+  EXPECT_TRUE(st.madvise_errno == 0 || st.madvise_errno == EINVAL)
+      << std::strerror(st.madvise_errno);
+}
+
+// LeakSanitizer scans globals, stacks and the heap, not anonymous mappings.
+// A list kept alive until exit through a global reaches its head sentinel's
+// `Bundle::init` entry (heap) only through pooled entries, so under ASan
+// this test leaves a leak report at exit unless the slab source registers
+// its chunks as root regions.
+TEST(SlabSource, StructureAliveAtExitLeavesNoLeakReport) {
+  static SkipList* kept = new SkipList(1, /*reclaim=*/false);
+  for (KeyT k = 1; k <= 100; ++k) kept->insert(6, k, k);
+  EXPECT_EQ(kept->size_slow(), 100u);
+}
+
+// ---------------------------------------------------------------------------
 // Named slab arenas (ISSUE 9): shard-local placement with home routing.
 // ---------------------------------------------------------------------------
 
@@ -216,7 +362,7 @@ TEST(EntryPoolArena, ScopedAcquireTagsOwnerAndRoutesReleaseHome) {
     ArenaScope scope(arena);
     bool resurfaced = false;
     std::vector<FakeEntry*> held;
-    for (size_t i = 0; i < EntryPool<FakeEntry>::kSlabEntries + 2; ++i) {
+    for (size_t i = 0; i < EntryPool<FakeEntry>::slab_blocks() + 2; ++i) {
       FakeEntry* got = pool.acquire(7);
       EXPECT_EQ(got->pool_tid, pool_owner_tag(arena, 7));
       held.push_back(got);

@@ -664,7 +664,8 @@ static_assert(sizeof(BundledSkipList<int64_t, int64_t>::Node) == 32,
               "skip-list node header must stay 32 bytes");
 
 // Every node carries exactly top_level + 1 links, so a link read past a
-// node's own tower lands in ASan's redzone. Tall towers (2^16 prefilled
+// node's own tower lands in the poisoned redzone the node pool puts after
+// every block under ASan (core/entry_pool.h). Tall towers (2^16 prefilled
 // keys), updates, both range-query entry paths and the maintenance prune
 // walk all run at once; odd keys are never updated, so every snapshot must
 // hold each odd key of its range.
