@@ -1,12 +1,14 @@
 #pragma once
-// Minimal NUMA helpers for the entry-pool arenas (core/entry_pool.h).
+// Minimal NUMA helpers for the entry-pool arenas (core/entry_pool.h) and
+// the slab source's per-node chunks (core/slab_source.h).
 //
 // No libnuma dependency: the node count comes from sysfs and the binding
 // is a raw mbind(2) syscall, compiled in only where the kernel headers are
 // present. Everything degrades to a no-op — on non-Linux, on single-node
-// machines, or when mbind fails (EPERM in restricted containers) the slab
+// machines, or when mbind fails (EPERM in restricted containers) the chunk
 // stays wherever first-touch put it, which is the right placement anyway
-// because slabs are constructed on the acquiring (shard-affine) thread.
+// because pooled blocks are constructed on the acquiring (shard-affine)
+// thread.
 
 #include <cstddef>
 
