@@ -14,8 +14,8 @@
 // layers turn the entry walk into O(log n).
 
 // A second axis ablates the *allocation* path of the entries themselves:
-// the same mixed workload (update-heavy, cleaner running so entries
-// recycle) with the per-thread entry pools (core/entry_pool.h) on vs
+// the same mixed workload (update-heavy, MaintenanceService pruning so
+// entries recycle) with the per-thread entry pools (core/entry_pool.h) on vs
 // bypassed to plain new/delete. Expected shape: pooled wins by more as
 // threads grow (the allocator serializes), and pooled allocs/op collapses
 // toward zero once the pool is warm while malloc pays one heap round-trip
@@ -32,8 +32,9 @@
 #include <memory>
 #include <thread>
 
-#include "core/bundle_cleaner.h"
+#include "api/registry.h"
 #include "harness.h"
+#include "shard/maintenance.h"
 
 namespace {
 
@@ -116,16 +117,21 @@ void run_family(const char* tag, const Config& base,
 }
 
 /// One cell of the pooled-vs-malloc axis: mixed trial on a reclaiming
-/// structure with the cleaner pruning at 1 ms, entry pools forced on/off.
+/// structure with maintenance pruning every 1 ms, entry pools forced
+/// on/off. The service drives the structure through its registry adapter;
+/// the timed trial calls the structure itself.
 template <typename DS>
 Measured measure_alloc_mode(int threads, const Config& cfg, bool pooled) {
+  using Adapter = detail::AnySetAdapter<DS>;
   EntryPoolRegistry::instance().set_pooling_enabled(pooled);
   Measured m = measure_detailed(
-      [&] { return std::make_unique<DS>(1, /*reclaim=*/true); }, threads, cfg,
-      [](DS& ds, int th, const Config& c) {
-        BundleCleaner<DS> cleaner(ds, std::chrono::milliseconds(1));
-        Result r = run_mixed_trial(ds, th, c);
-        cleaner.stop();
+      [&] { return std::make_unique<Adapter>(1, /*reclaim=*/true); }, threads,
+      cfg, [](Adapter& set, int th, const Config& c) {
+        MaintenanceService maint(
+            set, {.interval = std::chrono::milliseconds(1), .adaptive = false});
+        maint.start();
+        Result r = run_mixed_trial(set.underlying(), th, c);
+        maint.stop();
         return r;
       });
   EntryPoolRegistry::instance().set_pooling_enabled(true);
@@ -227,10 +233,9 @@ int main(int argc, char** argv) {
   Config alloc_cfg = base;
   if (!args.has("--threads")) alloc_cfg.thread_counts = {1, 2, 4, 8};
   if (!args.has("--keyrange")) alloc_cfg.key_range = 10000;
-  run_alloc_family<BundledSkipList<KeyT, ValT>>(
-      "skip list", "Bundle-skiplist", alloc_cfg);
-  run_alloc_family<BundledList<KeyT, ValT>>("lazy list", "Bundle-list",
-                                            alloc_cfg);
+  run_alloc_family<BundleSkipListSet>("skip list", "Bundle-skiplist",
+                                      alloc_cfg);
+  run_alloc_family<BundleListSet>("lazy list", "Bundle-list", alloc_cfg);
   std::printf("\nshape-check: pooled should win by more as threads grow, "
               "with pooled allocs/op near zero once warm and malloc "
               "allocs/op near the entries-per-update rate.\n");

@@ -7,7 +7,7 @@
 // The competitor set is the registry's reclamation-capable linearizable
 // builtins (Bundle x3 + LFCA) rather than a hard-coded typed list, and the
 // background work runs through the type-erased MaintenanceService
-// (src/shard/maintenance.h) rather than the typed BundleCleaner: every
+// (src/shard/maintenance.h), the library's one maintenance thread: every
 // duty the implementation exposes (bundle pruning, epoch pushes) is
 // driven at a fixed cadence d (adaptive back-off disabled — the paper's
 // parameter is the delay itself). `--impl <registry-name>` restricts the

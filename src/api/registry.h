@@ -103,22 +103,10 @@ class AnySetAdapter final : public AnyOrderedSet {
     }
   }
   // OptEbrGuard semantics, split so the shard coordinator can pin BEFORE
-  // reading the shared clock (see set_interface.h): leaky instances skip
-  // epoch traffic — nothing is freed before destruction there. One gate
-  // shared by both halves so they can never disagree (an unbalanced pin
-  // silently halts epoch advancement).
-  void rq_pin(int tid) override {
-    if constexpr (requires(DS& d) { d.ebr(); })
-      if (epoch_guarded()) ds_.ebr().pin(tid);
-  }
-  void rq_unpin(int tid) override {
-    if constexpr (requires(DS& d) { d.ebr(); })
-      if (epoch_guarded()) ds_.ebr().unpin(tid);
-  }
-  // Split pin, mapped onto Ebr's prepare/confirm halves so the shard
-  // coordinator can batch the announce stores of many shards (see
-  // set_interface.h). Gated by the same epoch_guarded() predicate as the
-  // fused form, so the halves can never disagree with rq_unpin.
+  // reading the shared clock and batch the announce stores of many shards
+  // (see set_interface.h): leaky instances skip epoch traffic — nothing is
+  // freed before destruction there. One gate shared by all three so they
+  // can never disagree (an unbalanced pin silently halts epoch advance).
   void rq_pin_prepare(int tid) override {
     if constexpr (requires(DS& d) { d.ebr(); })
       if (epoch_guarded()) ds_.ebr().pin_prepare(tid);
@@ -126,6 +114,10 @@ class AnySetAdapter final : public AnyOrderedSet {
   void rq_pin_confirm(int tid) override {
     if constexpr (requires(DS& d) { d.ebr(); })
       if (epoch_guarded()) ds_.ebr().pin_confirm(tid);
+  }
+  void rq_unpin(int tid) override {
+    if constexpr (requires(DS& d) { d.ebr(); })
+      if (epoch_guarded()) ds_.ebr().unpin(tid);
   }
   size_t range_query_at(int tid, timestamp_t ts, KeyT lo, KeyT hi,
                         std::vector<std::pair<KeyT, ValT>>& out) override {
@@ -142,7 +134,7 @@ class AnySetAdapter final : public AnyOrderedSet {
     if constexpr (requires(DS& d) { d.prune_bundles(tid); }) {
       // Pruning retires entries through EBR, but in leaky mode readers
       // never pin — the grace period would be meaningless, so prune only
-      // when the instance actually reclaims (the BundleCleaner contract).
+      // when the instance actually reclaims.
       bool prune = true;
       if constexpr (HasReclaimEnabled<DS>::value) prune = ds_.reclaim_enabled();
       if (prune) w.bundle_entries_pruned = ds_.prune_bundles(tid);

@@ -76,27 +76,23 @@ class AnyOrderedSet {
   }
   /// The instance's RQ announce array; nullptr when the technique has none.
   virtual RqTracker* rq_tracker_hook() { return nullptr; }
-  /// Pin / unpin this instance's reclamation epoch for a coordinated
-  /// collection. The pin MUST be taken before the shared clock is read:
+  /// Pin this instance's reclamation epoch for a coordinated collection,
+  /// in two halves so a coordinator pinning MANY instances can batch them:
+  /// rq_pin_prepare on every shard (the announce stores, issued
+  /// back-to-back), then rq_pin_confirm on every shard (the validation
+  /// loads), and only then the shared clock read. The pin is established
+  /// when rq_pin_confirm returns, and it MUST precede the clock read:
   /// epoch safety for a snapshot at T requires that any node removed
   /// after T was retired while we were already pinned (the single-
-  /// structure range query gets this by pinning before rq_begin). No-op
+  /// structure range query gets this by pinning before rq_begin). No-ops
   /// when the instance does not reclaim.
-  virtual void rq_pin(int tid) { (void)tid; }
-  virtual void rq_unpin(int tid) { (void)tid; }
-  /// Split halves of rq_pin for a coordinator pinning MANY instances: it
-  /// calls rq_pin_prepare on every shard (the announce stores, issued
-  /// back-to-back), then rq_pin_confirm on every shard (the validation
-  /// loads), and only then reads the shared clock. prepare+confirm
-  /// back-to-back is equivalent to rq_pin; the defaults map prepare onto
-  /// the fused form so implementations unaware of the split stay correct.
-  /// The pin is not established until rq_pin_confirm returns.
-  virtual void rq_pin_prepare(int tid) { rq_pin(tid); }
+  virtual void rq_pin_prepare(int tid) { (void)tid; }
   virtual void rq_pin_confirm(int tid) { (void)tid; }
+  virtual void rq_unpin(int tid) { (void)tid; }
   /// Collect [lo, hi] at the announced snapshot timestamp `ts`, APPENDING
   /// to `out` (the coordinator concatenates shards in key order). The
-  /// caller must hold an announce of `ts` in rq_tracker_hook() AND an
-  /// rq_pin taken before `ts` was read. Returns the number of pairs
+  /// caller must hold an announce of `ts` in rq_tracker_hook() AND a pin
+  /// confirmed before `ts` was read. Returns the number of pairs
   /// appended; 0-and-no-op when not capable.
   virtual size_t range_query_at(int tid, timestamp_t ts, KeyT lo, KeyT hi,
                                 std::vector<std::pair<KeyT, ValT>>& out) {

@@ -61,8 +61,8 @@ class ThreadRegistry {
   }
 
   /// Acquire from the TOP of the id space (highest free id, -1 when
-  /// exhausted). Background services (MaintenanceService, BundleCleaner)
-  /// use this so their ids are registry-tracked — a fresh try_acquire can
+  /// exhausted). MaintenanceService's workers use this so their ids are
+  /// registry-tracked — a fresh try_acquire can
   /// never collide with them — while staying clear of the low ids that
   /// benchmark drivers hand-pin without consulting the registry.
   int try_acquire_high() noexcept {

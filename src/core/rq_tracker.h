@@ -66,12 +66,6 @@ class RqTracker {
     return ts;
   }
 
-  /// Refresh the announced snapshot when a range query restarts (Alg. 3
-  /// line 7) without leaving the announce window.
-  timestamp_t restart(int tid, const GlobalTimestamp& gts) noexcept {
-    return begin(tid, gts);
-  }
-
   void end(int tid) noexcept {
     slots_[tid]->store(kNone, std::memory_order_release);
   }

@@ -238,16 +238,10 @@ class Client {
     encode_trace_dump(buf_);
     return call(Op::kTraceDump).text;
   }
-  /// Set the trace reservoir rate (commit ~one trace per `sample_every`
-  /// completions; 0 disables the reservoir).
-  bool trace_rate(uint32_t sample_every) {
-    buf_.clear();
-    encode_trace_rate(buf_, sample_every);
-    return call(Op::kTraceDump).status == Status::kOk;
-  }
-  /// Set the full capture policy: reservoir rate + latency threshold in
-  /// microseconds (0 = commit every completed trace, UINT32_MAX = no
-  /// threshold commits).
+  /// Set the capture policy: the reservoir rate (commit ~one trace per
+  /// `sample_every` completions; 0 disables the reservoir) + the latency
+  /// threshold in microseconds (0 = commit every completed trace,
+  /// UINT32_MAX = no threshold commits).
   bool trace_config(uint32_t sample_every, uint32_t threshold_us) {
     buf_.clear();
     encode_trace_config(buf_, sample_every, threshold_us);

@@ -5,13 +5,12 @@
 //
 //   * Cooperative scan chunking. A RANGE wider than `scan_chunk_keys`
 //     would monopolize its worker's epoll wave; instead the worker takes
-//     the snapshot ONCE (SnapshotScan pins + announces every overlapping
-//     shard, reads the shared clock once, publishes — exactly
-//     ShardedSet::coordinated_collect's protocol) and then collects the
-//     interval in bounded key-budget slices, one slice per wave, behind
-//     the wave's point ops. `range_query_at` is restart-free against a
-//     held announce+pin, so slicing never re-reads the clock: the reply
-//     is still one linearization point (DESIGN.md §8).
+//     the snapshot ONCE (a ShardedSet::Snapshot pins + announces every
+//     overlapping shard, reads the shared clock once, publishes) and then
+//     collects the interval in bounded key-budget slices, one slice per
+//     wave, behind the wave's point ops. `range_query_at` is restart-free
+//     against a held announce+pin, so slicing never re-reads the clock:
+//     the reply is still one linearization point (DESIGN.md §8).
 //
 //   * Admission control. Each wave gets a frame + response-byte budget
 //     (WaveBudget); frames past it are answered kErrOverloaded with a
@@ -22,22 +21,15 @@
 //     write-stall deadlines; per-connection pending-write caps disconnect
 //     unrecoverably slow readers before they OOM the server.
 //
-// This header owns the policy types, the wheel, the chunked-scan state
-// machine, and the guard metric series; server.h wires them into the
-// worker loops.
+// This header owns the policy types, the wheel and the guard metric
+// series; server.h wires them into the worker loops, and its chunked
+// scans collect a ShardedSet::Snapshot.
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "api/set_interface.h"
-#include "core/global_timestamp.h"
-#include "core/rq_tracker.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "shard/sharded_set.h"
 
 namespace bref::net {
 
@@ -174,109 +166,6 @@ class TimerWheel {
   std::vector<Entry> scratch_;
   uint64_t cursor_ = 0;  // last processed tick; 0 = not yet anchored
   size_t size_ = 0;
-};
-
-/// A coordinated snapshot scan, sliceable into bounded chunks.
-///
-/// Construction replicates ShardedSet::coordinated_collect's ordering:
-/// every part's epoch pin AND tracker announce precede the ONE shared
-/// clock read, then the timestamp is published to every part. From then
-/// on `range_query_at(ts)` is restart-free against the held announce+pin
-/// — so step() may collect the interval in as many slices as it likes,
-/// interleaved with anything else, and the result is still the set's
-/// state at exactly `ts`: one linearization point, one clock read.
-///
-/// IMPORTANT: the pins are EBR pins on `tid`, and Ebr::pin/unpin is not
-/// reentrant per tid — the owner must not run other set operations under
-/// `tid` while a SnapshotScan is alive (server workers dedicate a second
-/// session id to scans for exactly this reason).
-class SnapshotScan {
- public:
-  SnapshotScan(std::vector<ShardedSet::ScanPart> parts,
-               GlobalTimestamp& clock, int tid, KeyT lo, KeyT hi)
-      : parts_(std::move(parts)), tid_(tid), pos_(lo), hi_(hi) {
-    // Same fan-out span the inline coordinated path stamps: the active
-    // request trace (if any) sees pin+announce through publish as one
-    // kShardPin span with the part count.
-    obs::TraceScratch* const tr = obs::current_trace();
-    const uint64_t pin_t0 = tr != nullptr ? obs::trace_now_ns() : 0;
-    for (auto& p : parts_) {
-      p.set->rq_pin(tid_);
-      p.tracker->announce_pending(tid_);
-    }
-    ts_ = clock.read();  // the ONE timestamp acquisition
-    for (auto& p : parts_) p.tracker->publish(tid_, ts_);
-    if (tr != nullptr)
-      tr->stamp(obs::TraceStage::kShardPin, pin_t0, obs::trace_now_ns(), 0,
-                static_cast<uint16_t>(parts_.size()));
-  }
-  ~SnapshotScan() { finish(); }
-  SnapshotScan(const SnapshotScan&) = delete;
-  SnapshotScan& operator=(const SnapshotScan&) = delete;
-
-  /// Collect the next slice of at most `chunk_keys` keys (0 = the whole
-  /// remaining interval) into items(). Returns true when [lo, hi] is
-  /// fully collected — the announces and pins are released at that
-  /// point; items() stays valid.
-  bool step(size_t chunk_keys) {
-    if (done_) return true;
-    ++slices_;
-    KeyT slice_hi = hi_;
-    const uint64_t remaining = biased(hi_) - biased(pos_);  // = width - 1
-    if (chunk_keys > 0 && remaining >= chunk_keys)
-      slice_hi = unbias(biased(pos_) + chunk_keys - 1);
-    obs::TraceScratch* const tr = obs::current_trace();
-    for (auto& p : parts_)
-      if (p.lo <= slice_hi && p.hi >= pos_) {
-        const uint64_t c0 = tr != nullptr ? obs::trace_now_ns() : 0;
-        p.set->range_query_at(tid_, ts_, pos_ < p.lo ? p.lo : pos_,
-                              slice_hi > p.hi ? p.hi : slice_hi, items_);
-        // Coalesced: a long chunked scan touches parts slice after slice;
-        // one growing span (aux16 = merged collects) instead of one span
-        // per part per slice, which would exhaust kTraceMaxSpans.
-        if (tr != nullptr)
-          tr->stamp_coalesce(obs::TraceStage::kShardCollect, c0,
-                             obs::trace_now_ns());
-      }
-    if (slice_hi >= hi_) {
-      finish();
-      return true;
-    }
-    pos_ = slice_hi + 1;
-    return false;
-  }
-
-  /// Release announces and pins early (abandoned scan). Idempotent.
-  void finish() {
-    if (done_) return;
-    done_ = true;
-    for (auto& p : parts_) {
-      p.tracker->end(tid_);
-      p.set->rq_unpin(tid_);
-    }
-  }
-
-  timestamp_t ts() const noexcept { return ts_; }
-  uint32_t slices() const noexcept { return slices_; }
-  bool done() const noexcept { return done_; }
-  std::vector<std::pair<KeyT, ValT>>& items() noexcept { return items_; }
-
- private:
-  static uint64_t biased(KeyT k) noexcept {
-    return static_cast<uint64_t>(k) ^ (uint64_t{1} << 63);
-  }
-  static KeyT unbias(uint64_t b) noexcept {
-    return static_cast<KeyT>(b ^ (uint64_t{1} << 63));
-  }
-
-  std::vector<ShardedSet::ScanPart> parts_;
-  std::vector<std::pair<KeyT, ValT>> items_;
-  const int tid_;
-  KeyT pos_;
-  const KeyT hi_;
-  timestamp_t ts_ = 0;
-  uint32_t slices_ = 0;
-  bool done_ = false;
 };
 
 /// Guard-layer series aggregated over live Server instances (same RAII

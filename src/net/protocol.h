@@ -46,8 +46,8 @@ enum class Op : uint8_t {
   kPing = 9,       // body: -                   -> kOk
   kStats = 10,     // body: -                   -> kOk + utf8 JSON text
   kMetrics = 11,   // body: -                   -> kOk + Prometheus text
-  kTraceDump = 12, // body: - | u32 sample_every | u32 sample_every + u32
-                   //       threshold_us         -> kOk + utf8 JSON text | kOk
+  kTraceDump = 12, // body: - | u32 sample_every + u32 threshold_us
+                   //                            -> kOk + utf8 JSON text | kOk
   kTraceGet = 13,  // body: u64 trace_id         -> kOk + utf8 JSON text | kNo
 };
 
@@ -204,19 +204,16 @@ inline void encode_stats(std::vector<uint8_t>& b) {
 inline void encode_metrics(std::vector<uint8_t>& b) {
   encode_header(b, Op::kMetrics, 0);
 }
-/// Empty body: dump the flight-recorder tail. With `sample_every`: set the
-/// global trace sampling rate (0 disables) and answer a bare kOk.
+/// Empty body: dump the flight-recorder tail.
 inline void encode_trace_dump(std::vector<uint8_t>& b) {
   encode_header(b, Op::kTraceDump, 0);
 }
-inline void encode_trace_rate(std::vector<uint8_t>& b, uint32_t sample_every) {
-  encode_header(b, Op::kTraceDump, 4);
-  put_u32(b, sample_every);
-}
-/// 8-byte TRACE_DUMP body: set the reservoir rate AND the tail-commit
-/// threshold in one shot. `threshold_us` semantics: 0 commits every traced
-/// request, UINT32_MAX disables threshold commits, anything else is the
-/// latency floor in microseconds.
+/// 8-byte TRACE_DUMP body: set the capture policy — the reservoir rate
+/// (commit ~one trace per `sample_every` completions, 0 disables the
+/// reservoir) AND the tail-commit threshold — and answer a bare kOk.
+/// `threshold_us` semantics: 0 commits every traced request, UINT32_MAX
+/// disables threshold commits, anything else is the latency floor in
+/// microseconds.
 inline void encode_trace_config(std::vector<uint8_t>& b, uint32_t sample_every,
                                 uint32_t threshold_us) {
   encode_header(b, Op::kTraceDump, 8);
@@ -381,7 +378,7 @@ inline bool decode_reply(Op req, const FrameView& f, Reply* r) {
     }
     case Op::kStats:
     case Op::kMetrics:
-    case Op::kTraceDump:  // rate-set acks are tag-only; text stays empty
+    case Op::kTraceDump:  // policy acks are tag-only; text stays empty
     case Op::kTraceGet:
       r->text.assign(reinterpret_cast<const char*>(f.body), f.body_len);
       return true;

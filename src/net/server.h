@@ -1,6 +1,6 @@
 #pragma once
-// bref::net::Server — the epoll-batched network front-end over
-// ShardedSet / the registry's ordered sets.
+// bref::net::Server — the epoll-batched network front-end over a
+// ShardedSet of one of the registry's ordered sets.
 //
 // Architecture (one acceptor + N worker loops):
 //
@@ -65,9 +65,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -228,7 +230,8 @@ struct ServerOptions {
   int workers = 2;
   /// Registry name of the backing implementation.
   std::string impl = "Bundle-skiplist";
-  /// Shard the keyspace over this many instances (<= 1 = unsharded).
+  /// Shard the keyspace over this many instances (<= 1: one shard, which
+  /// answers exactly as the bare implementation does).
   size_t shards = 4;
   /// Partition bounds when sharding (ShardOptions semantics).
   KeyT key_lo = 0;
@@ -281,26 +284,12 @@ class Server {
     if (!ImplRegistry::instance().find(opt_.impl, &desc))
       throw std::invalid_argument("unknown ordered-set implementation: " +
                                   opt_.impl);
-    const SetOptions inner{.reclaim = desc.caps.reclamation};
-    if (opt_.shards > 1) {
-      ShardOptions so;
-      so.shards = opt_.shards;
-      so.key_lo = opt_.key_lo;
-      so.key_hi = opt_.key_hi;
-      so.inner = inner;
-      sharded_ = std::make_unique<ShardedSet>(opt_.impl, so);
-      set_ = sharded_.get();
-    } else {
-      plain_ = ImplRegistry::instance().create(opt_.impl, inner);
-      set_ = plain_.get();
-      // Chunked scans need a readable snapshot clock + an RQ tracker.
-      // ShardedSet owns both; for an unsharded coordinated-capable set
-      // the server plays the coordinator: redirect the set's clock onto
-      // guard_clock_ (same single-shard shape ShardedSet uses).
-      if (desc.caps.coordinated_rq && plain_->adopt_clock(guard_clock_) &&
-          plain_->rq_tracker_hook() != nullptr)
-        plain_scan_ok_ = true;
-    }
+    ShardOptions so;
+    so.shards = opt_.shards;
+    so.key_lo = opt_.key_lo;
+    so.key_hi = opt_.key_hi;
+    so.inner = SetOptions{.reclaim = desc.caps.reclamation};
+    set_ = std::make_unique<ShardedSet>(opt_.impl, so);
     if (opt_.maintenance)
       maint_ = std::make_unique<MaintenanceService>(*set_, opt_.maint);
   }
@@ -416,7 +405,7 @@ class Server {
     return running_;
   }
   uint16_t port() const { return port_; }
-  AnyOrderedSet& set() { return *set_; }
+  ShardedSet& set() { return *set_; }
   MaintenanceService* maintenance() { return maint_.get(); }
 
   /// NOTE on the stats accessors: they read workers_ without the
@@ -479,8 +468,8 @@ class Server {
     return n;
   }
 
-  /// The STATS response body: server counters, routing counters when
-  /// sharded, per-shard maintenance stats when the service runs.
+  /// The STATS response body: server counters, routing counters,
+  /// per-shard maintenance stats when the service runs.
   std::string stats_json() const {
     const ServerStats s = stats();
     char buf[512];
@@ -493,7 +482,7 @@ class Server {
                   "\"frames_per_batch\": %.2f, \"bytes_in\": %llu, "
                   "\"bytes_out\": %llu, \"protocol_errors\": %llu, "
                   "\"txns_committed\": %llu, \"txns_aborted\": %llu",
-                  opt_.impl.c_str(), opt_.shards > 1 ? opt_.shards : 1,
+                  opt_.impl.c_str(), set_->num_shards(),
                   workers_.size(), connections(), peak_connections(),
                   static_cast<unsigned long long>(s.accepted),
                   static_cast<unsigned long long>(s.frames),
@@ -532,18 +521,16 @@ class Server {
                   static_cast<unsigned long long>(s.trace_scratch_exhausted),
                   static_cast<unsigned long long>(s.trace_scratch_in_use));
     out += buf;
-    if (sharded_) {
-      const ShardedSetStats r = sharded_->stats();
-      std::snprintf(buf, sizeof buf,
-                    ", \"routing\": {\"single_shard_rqs\": %llu, "
-                    "\"coordinated_rqs\": %llu, \"fallback_rqs\": %llu, "
-                    "\"timestamps_acquired\": %llu}",
-                    static_cast<unsigned long long>(r.single_shard_rqs),
-                    static_cast<unsigned long long>(r.coordinated_rqs),
-                    static_cast<unsigned long long>(r.fallback_rqs),
-                    static_cast<unsigned long long>(r.timestamps_acquired));
-      out += buf;
-    }
+    const ShardedSetStats r = set_->stats();
+    std::snprintf(buf, sizeof buf,
+                  ", \"routing\": {\"single_shard_rqs\": %llu, "
+                  "\"coordinated_rqs\": %llu, \"fallback_rqs\": %llu, "
+                  "\"timestamps_acquired\": %llu}",
+                  static_cast<unsigned long long>(r.single_shard_rqs),
+                  static_cast<unsigned long long>(r.coordinated_rqs),
+                  static_cast<unsigned long long>(r.fallback_rqs),
+                  static_cast<unsigned long long>(r.timestamps_acquired));
+    out += buf;
     if (maint_) {
       out += ", \"maintenance\": [";
       for (size_t i = 0; i < maint_->workers(); ++i) {
@@ -694,7 +681,8 @@ class Server {
     std::vector<std::unique_ptr<Conn>> conns;  // indexed by fd
     TimerWheel wheel;        // idle + write-stall deadlines
     uint32_t next_gen = 0;   // timer-wheel generation source
-    std::unique_ptr<SnapshotScan> scan;  // active chunked scan (<= 1)
+    std::optional<ShardedSet::Snapshot> scan;  // active chunked scan (<= 1)
+    std::vector<std::pair<KeyT, ValT>> scan_items;  // its collected slices
     int scan_fd = -1;                    // its owning connection
     uint64_t scan_start_ns = 0;          // op_hist attribution
     std::vector<int> scan_waiters;       // conns queued for the scan slot
@@ -871,8 +859,7 @@ class Server {
       // A live (or queued) chunked scan wants the loop back immediately
       // after servicing what's ready; otherwise sleep one timer-wheel
       // granularity so deadlines fire near their time.
-      const int timeout =
-          w.scan != nullptr || !w.scan_waiters.empty() ? 0 : 100;
+      const int timeout = w.scan || !w.scan_waiters.empty() ? 0 : 100;
       const int n = ::epoll_wait(w.epoll_fd, events.data(),
                                  static_cast<int>(events.size()), timeout);
       // Queue-wait attribution starts here: everything a request waits
@@ -987,7 +974,7 @@ class Server {
   bool chunkable(KeyT lo, KeyT hi) const {
     const size_t chunk = opt_.guard.scan_chunk_keys;
     if (chunk == 0 || lo > hi) return false;
-    if (sharded_ ? !sharded_->coordinated() : !plain_scan_ok_) return false;
+    if (!set_->coordinated()) return false;
     const uint64_t width_minus_1 =
         ((static_cast<uint64_t>(hi) ^ (uint64_t{1} << 63)) -
          (static_cast<uint64_t>(lo) ^ (uint64_t{1} << 63)));
@@ -1003,36 +990,24 @@ class Server {
            op == Op::kTxnAbort;
   }
 
-  std::vector<ShardedSet::ScanPart> scan_plan(KeyT lo, KeyT hi) {
-    if (sharded_) return sharded_->scan_plan(lo, hi);
-    std::vector<ShardedSet::ScanPart> plan;
-    plan.push_back({plain_.get(), plain_->rq_tracker_hook(), lo, hi});
-    return plan;
-  }
-  GlobalTimestamp& scan_clock() {
-    return sharded_ ? sharded_->coordination_clock() : guard_clock_;
-  }
-
   void begin_scan(Worker& w, Conn& c) {
-    // The pin/announce fan-out inside the SnapshotScan constructor stamps
+    // The pin/announce fan-out inside the Snapshot constructor stamps
     // through the current-trace hook. On the inline path (RANGE frame in
     // this wave) the hook is already set by service(); a promoted waiter
     // re-arms it from the trace riding its connection.
     obs::CurrentTraceScope scope(c.trace != nullptr ? c.trace
                                                     : obs::current_trace());
-    w.scan = std::make_unique<SnapshotScan>(
-        scan_plan(c.scan_lo, c.scan_hi), scan_clock(), w.scan_session.tid(),
-        c.scan_lo, c.scan_hi);
+    w.scan.emplace(*set_, w.scan_session.tid(), c.scan_lo, c.scan_hi);
+    w.scan_items.clear();
     w.scan_fd = c.fd;
     w.scan_start_ns = obs_now_ns();
     w.chunked.fetch_add(1, std::memory_order_relaxed);
-    if (sharded_) sharded_->note_external_scan(w.scan_session.tid());
   }
 
   void start_or_queue_scan(Worker& w, Conn& c, KeyT lo, KeyT hi) {
     c.scan_lo = lo;
     c.scan_hi = hi;
-    if (w.scan == nullptr) {
+    if (!w.scan) {
       begin_scan(w, c);
     } else {  // one active scan per worker; FIFO for the rest
       c.scan_queued = true;
@@ -1041,7 +1016,7 @@ class Server {
   }
 
   void promote_waiter(Worker& w) {
-    while (!w.scan_waiters.empty() && w.scan == nullptr) {
+    while (!w.scan_waiters.empty() && !w.scan) {
       const int fd = w.scan_waiters.front();
       w.scan_waiters.erase(w.scan_waiters.begin());
       Conn* nc = w.conns[static_cast<size_t>(fd)].get();
@@ -1060,9 +1035,9 @@ class Server {
   void pump_scan(Worker& w, int tid, std::vector<uint8_t>& scratch,
                  RangeSnapshot& rq_out, uint64_t wake_ns,
                  WaveBudget* budget) {
-    if (w.scan == nullptr) {
+    if (!w.scan) {
       promote_waiter(w);
-      if (w.scan == nullptr) return;
+      if (!w.scan) return;
     }
     w.scan_slices.fetch_add(1, std::memory_order_relaxed);
     Conn* owner = w.conns[static_cast<size_t>(w.scan_fd)].get();
@@ -1070,7 +1045,7 @@ class Server {
     bool complete;
     {
       obs::CurrentTraceScope scope(owner != nullptr ? owner->trace : nullptr);
-      complete = w.scan->step(opt_.guard.scan_chunk_keys);
+      complete = w.scan->collect(opt_.guard.scan_chunk_keys, w.scan_items);
     }
     if constexpr (obs::kEnabled) {
       // One coalesced scan_chunk span per scan: slices extend it and
@@ -1082,10 +1057,10 @@ class Server {
     if (!complete) return;
     // Snapshot complete: answer the owner.
     Conn* c = owner;
-    std::unique_ptr<SnapshotScan> done = std::move(w.scan);
-    w.scan_fd = -1;
     scratch.clear();
-    encode_range_response(scratch, done->ts(), done->items());
+    encode_range_response(scratch, w.scan->timestamp(), w.scan_items);
+    w.scan.reset();
+    w.scan_fd = -1;
     w.frames.fetch_add(1, std::memory_order_relaxed);
     w.batches.fetch_add(1, std::memory_order_relaxed);
     const uint64_t scan_hist_ns = obs_now_ns() - w.scan_start_ns;
@@ -1174,8 +1149,7 @@ class Server {
       if (!cp || cp->paused) continue;  // parked backlogs run below
       service(w, tid, *cp, scratch, rq_out, wake_ns, nullptr);
     }
-    while ((w.scan != nullptr || !w.scan_waiters.empty()) &&
-           steady_ms() < deadline)
+    while ((w.scan || !w.scan_waiters.empty()) && steady_ms() < deadline)
       pump_scan(w, tid, scratch, rq_out, wake_ns, nullptr);
     for (;;) {
       bool any = false;
@@ -1354,8 +1328,8 @@ class Server {
       ExecResult er;
       {
         // Park the scratch in the thread-local hook: the shard fan-out
-        // (ShardedSet coordinated path) and the scan pin path
-        // (SnapshotScan) stamp their spans through it.
+        // (ShardedSet::Snapshot, inline or a scan's pin) stamps its spans
+        // through it.
         obs::CurrentTraceScope scope(t);
         er = execute(w, tid, c, f, scratch, rq_out);
       }
@@ -1422,16 +1396,15 @@ class Server {
     return !peer_closed;
   }
 
-  /// Shard a traced frame's key routes to (0 when unsharded or keyless).
+  /// Shard a traced frame's key routes to (0 when keyless).
   uint16_t span_shard(const FrameView& f) const {
-    if (!sharded_) return 0;
     switch (f.op()) {
       case Op::kGet:
       case Op::kRemove:
       case Op::kInsert:
       case Op::kRange:
         if (f.body_len >= 8)
-          return static_cast<uint16_t>(sharded_->shard_index(get_i64(f.body)));
+          return static_cast<uint16_t>(set_->shard_index(get_i64(f.body)));
         return 0;
       default:
         return 0;
@@ -1559,12 +1532,6 @@ class Server {
         encode_text_response(out, obs::registry().prometheus());
         return ExecResult::kDone;
       case Op::kTraceDump: {
-        if (f.body_len == 4) {  // set the global sampling rate, ack
-          obs::trace_sample_every().store(get_u32(f.body),
-                                          std::memory_order_relaxed);
-          encode_status(out, Status::kOk);
-          return ExecResult::kDone;
-        }
         if (f.body_len == 8) {  // set rate + tail-commit threshold, ack
           obs::trace_sample_every().store(get_u32(f.body),
                                           std::memory_order_relaxed);
@@ -1666,15 +1633,7 @@ class Server {
   }
 
   ServerOptions opt_;
-  // Chunked-scan coordination for the unsharded path: the server owns
-  // the clock an adopted coordinated-capable plain set redirects onto.
-  // Declared before plain_ so it outlives the set pointing at it (the
-  // same ordering ShardedSet documents for its gts_).
-  GlobalTimestamp guard_clock_;
-  bool plain_scan_ok_ = false;
-  std::unique_ptr<AnyOrderedSet> plain_;
-  std::unique_ptr<ShardedSet> sharded_;
-  AnyOrderedSet* set_ = nullptr;
+  std::unique_ptr<ShardedSet> set_;
   std::unique_ptr<MaintenanceService> maint_;
 
   mutable std::mutex lifecycle_mu_;

@@ -405,9 +405,9 @@ class TraceBoard {
 //
 // The shard and guard layers sit below net and cannot see the request's
 // scratch slot. The worker parks a pointer to the active scratch in a
-// thread-local before descending into execute(); ShardedSet's coordinated
-// fan-out and SnapshotScan's pin path stamp through it. Cost when no trace
-// is active: one thread-local load + branch.
+// thread-local before descending into execute(); ShardedSet::Snapshot's
+// pin and collect fan-out stamps through it. Cost when no trace is
+// active: one thread-local load + branch.
 
 inline TraceScratch*& current_trace() noexcept {
   thread_local TraceScratch* cur = nullptr;

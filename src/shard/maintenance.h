@@ -1,15 +1,15 @@
 #pragma once
-// Background maintenance service — the generalization of BundleCleaner
-// (core/bundle_cleaner.h) to the type-erased, sharded world.
+// Background maintenance service — the one background-maintenance thread
+// owner in the library (the paper's bundle cleaner, supplementary B, is
+// one of its duties).
 //
-// BundleCleaner drives exactly one duty (bundle pruning) on exactly one
-// typed structure from one dedicated thread. This service owns one worker
-// thread PER SHARD of a ShardedSet (or a single worker for a plain set)
-// and drives every background duty the implementation exposes through
-// AnyOrderedSet::maintain(): bundle reconciliation (prune_bundles, only
-// when the instance reclaims), the EBR-RQ limbo drain (flush_limbo — the
-// ROADMAP's "nothing calls it unprompted" item), and Ebr::quiesce so long
-// prune pins never starve epoch advancement.
+// The service owns one worker thread PER SHARD of a ShardedSet (or a
+// single worker for a plain set) and drives every background duty the
+// implementation exposes through AnyOrderedSet::maintain(): bundle
+// reconciliation (prune_bundles, only when the instance reclaims), the
+// EBR-RQ limbo drain (flush_limbo), and Ebr::quiesce so long prune pins
+// never starve epoch advancement. Typed structures join through
+// detail::AnySetAdapter (registry.h) or a registry-created instance.
 //
 // Rate control: each worker sleeps `interval` between passes; with
 // `adaptive` set, a pass that found no work doubles the sleep up to
@@ -48,7 +48,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -58,7 +57,6 @@
 #include "api/set_interface.h"
 #include "common/cacheline.h"
 #include "common/thread_registry.h"
-#include "common/timing.h"
 #include "obs/metrics.h"
 #include "shard/sharded_set.h"
 
@@ -108,12 +106,6 @@ struct MaintenanceOptions {
   /// Take worker ids from SessionPool (see header) instead of dedicated
   /// top-of-range slots.
   bool pooled_tids = false;
-  /// Warn (one rate-limited stderr line) when a worker's post-pass backlog
-  /// exceeds this bound; 0 disables. The precursor to backlog-driven
-  /// wakeups: the signal exists and is visible before it steers anything.
-  size_t backlog_warn = 0;
-  /// Minimum spacing between warnings per worker.
-  std::chrono::milliseconds backlog_warn_interval{5000};
   /// Wake a worker as soon as this many items were retired/parked on its
   /// target since the last pass (0 disables the signal: pure interval
   /// polling). With interval == 0 this is the ONLY wake source.
@@ -143,14 +135,6 @@ class MaintenanceService {
     } else {
       workers_.push_back(std::make_unique<Worker>(&set));
     }
-    register_gauges();
-  }
-  /// Explicit target list (advanced: several plain sets under one service).
-  explicit MaintenanceService(std::vector<AnyOrderedSet*> targets,
-                              MaintenanceOptions opt = {})
-      : opt_(opt) {
-    for (AnyOrderedSet* s : targets)
-      workers_.push_back(std::make_unique<Worker>(s));
     register_gauges();
   }
 
@@ -189,10 +173,8 @@ class MaintenanceService {
         w->target->set_maintenance_signal(&w->signal);
       }
     }
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      w.thread = std::thread([this, &w, i] { run(w, i); });
-    }
+    for (auto& w : workers_)
+      w->thread = std::thread([this, wp = w.get()] { run(*wp); });
     running_ = true;
   }
 
@@ -263,7 +245,6 @@ class MaintenanceService {
     CachePadded<std::atomic<uint64_t>> backlog_wakeups{};
     CachePadded<std::atomic<uint64_t>> timer_wakeups{};
     MaintenanceSignal signal;  // producers' backlog counter (backlog_wake)
-    Clock::time_point last_warn{};  // worker-thread private
     obs::GaugeSet::Source backlog_src;  // reads `backlog` above only
     obs::GaugeSet::Source wake_backlog_src;
     obs::GaugeSet::Source wake_timer_src;
@@ -303,7 +284,7 @@ class MaintenanceService {
     }
   }
 
-  void run(Worker& w, size_t shard) {
+  void run(Worker& w) {
     const int tid = opt_.pooled_tids ? SessionPool::thread_tid() : w.tid;
     auto interval = opt_.interval;
     const bool timed = opt_.interval.count() > 0;
@@ -334,23 +315,9 @@ class MaintenanceService {
       w.pruned->fetch_add(work.bundle_entries_pruned,
                           std::memory_order_relaxed);
       w.flushed->fetch_add(work.limbo_flushed, std::memory_order_relaxed);
-      // What the pass left behind: the live signal for the obs gauge, the
-      // warning below, and (next) backlog-driven wakeups.
-      const size_t backlog = w.target->maintenance_backlog();
-      w.backlog->store(backlog, std::memory_order_relaxed);
-      if (opt_.backlog_warn != 0 && backlog > opt_.backlog_warn) {
-        const auto now = Clock::now();
-        if (w.last_warn.time_since_epoch().count() == 0 ||
-            now - w.last_warn >= opt_.backlog_warn_interval) {
-          w.last_warn = now;
-          std::fprintf(stderr,
-                       "[bref-maintenance] shard %zu backlog %zu exceeds "
-                       "bound %zu (pass %llu)\n",
-                       shard, backlog, opt_.backlog_warn,
-                       static_cast<unsigned long long>(
-                           w.passes->load(std::memory_order_relaxed)));
-        }
-      }
+      // What the pass left behind, for the obs gauge.
+      w.backlog->store(w.target->maintenance_backlog(),
+                       std::memory_order_relaxed);
       if (opt_.adaptive && timed) {
         if (work.reclaimed() == 0) {
           interval = std::min(interval * 2, opt_.max_interval);

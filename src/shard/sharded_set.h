@@ -13,6 +13,10 @@
 //   3. publish T in every tracker, then collect each shard's range at T
 //      via its bundle walk (range_query_at).
 //
+// ShardedSet::Snapshot is the one implementation of these steps: inline
+// cross-shard queries collect it in one call, the server's chunked scans
+// one slice per epoll wave.
+//
 // Why one fetch-free clock read linearizes K shards: every update in every
 // shard increments the one shared counter at its linearization point
 // (GlobalTimestamp::share_with redirects each shard's clock onto the
@@ -31,6 +35,8 @@
 // each shard's own linearizable snapshot, concatenated. That result is NOT
 // a single-instant snapshot, so it carries no timestamp and the sharded
 // set does not advertise linearizable_rq / rq_timestamp / coordinated_rq.
+// A one-shard set never merges: it answers, stamps and advertises exactly
+// as its inner set does (the server's unsharded configuration).
 //
 // Point operations route to the owning shard (single-shard fast path), as
 // do range queries whose bounds fall inside one shard — those delegate the
@@ -46,6 +52,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -84,14 +91,16 @@ struct ShardOptions {
 /// relaxed atomics); the aggregate is approximate under concurrency.
 struct ShardedSetStats {
   uint64_t single_shard_rqs = 0;   // delegated whole to one shard
-  uint64_t coordinated_rqs = 0;    // multi-shard, one shared timestamp
+  uint64_t coordinated_rqs = 0;    // one shared timestamp: Snapshots
   uint64_t fallback_rqs = 0;       // multi-shard, per-shard merge
   uint64_t timestamps_acquired = 0;  // shared-clock reads by coordinated RQs
-  /// Epoch pins + PENDING announces taken by coordinated RQs — exactly the
-  /// shards each query's span overlaps, never all of them. The elision
-  /// invariant is `coordinated_shards_pinned <= coordinated_rqs * nshards`
-  /// with equality only for whole-keyspace scans; single-shard queries
-  /// contribute ZERO (they devolve to the unsharded fast path).
+  /// Epoch pins + PENDING announces taken by inline coordinated RQs —
+  /// exactly the shards each query's span overlaps, never all of them. The
+  /// elision invariant is `coordinated_shards_pinned <= coordinated_rqs *
+  /// nshards` with equality only for whole-keyspace scans; single-shard
+  /// queries contribute ZERO (they devolve to the unsharded fast path).
+  /// Sliced Snapshots (the server's chunked scans) count in
+  /// coordinated_rqs and timestamps_acquired but add nothing here.
   uint64_t coordinated_shards_pinned = 0;
 
   ShardedSetStats& operator+=(const ShardedSetStats& o) {
@@ -208,6 +217,7 @@ class ShardedSet final : public AnyOrderedSet {
   // -- range queries ------------------------------------------------------
   size_t range_query(int tid, KeyT lo, KeyT hi,
                      std::vector<std::pair<KeyT, ValT>>& out) override {
+    if (nshards_ == 1) return single_shard(tid, lo, hi, out);
     out.clear();
     if (lo > hi) return 0;
     const size_t a = shard_index(lo);
@@ -229,6 +239,7 @@ class ShardedSet final : public AnyOrderedSet {
   /// delegates (stamp included only when this set advertises
   /// rq_timestamp); a fallback merge is never stamped.
   size_t range_query(int tid, KeyT lo, KeyT hi, RangeSnapshot& out) override {
+    if (nshards_ == 1) return single_shard(tid, lo, hi, out);
     out.reset(lo, hi);
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now" off the
@@ -285,11 +296,13 @@ class ShardedSet final : public AnyOrderedSet {
   Capabilities capabilities() const override {
     Capabilities c;
     // A multi-shard merge without coordination is not a single-instant
-    // snapshot, so every RQ-atomicity claim keys on coordinated_.
-    c.linearizable_rq = inner_caps_.linearizable_rq && coordinated_;
+    // snapshot, so every RQ-atomicity claim keys on coordinated_. One
+    // shard never merges: it claims exactly what its inner set does.
+    const bool one = nshards_ == 1;
+    c.linearizable_rq = inner_caps_.linearizable_rq && (coordinated_ || one);
     c.relaxation = inner_caps_.relaxation;
     c.reclamation = inner_caps_.reclamation;
-    c.rq_timestamp = coordinated_;
+    c.rq_timestamp = one ? inner_caps_.rq_timestamp : coordinated_;
     c.coordinated_rq = coordinated_;
     return c;
   }
@@ -349,52 +362,135 @@ class ShardedSet final : public AnyOrderedSet {
 
   /// True when cross-shard queries run the single-timestamp protocol.
   bool coordinated() const noexcept { return coordinated_; }
-  /// The shared clock every shard's updates advance (coordinated mode).
-  GlobalTimestamp& coordination_clock() noexcept { return gts_; }
 
-  /// One shard's slice of an externally-driven coordinated scan: the set,
-  /// its RQ tracker, and the key interval the partition assigns it
-  /// (clamped to [lo, hi]). Callers replicate coordinated_collect()'s
-  /// protocol — pin+announce every part, ONE clock read, publish, then
-  /// range_query_at per part — but may slice the collection step into
-  /// bounded chunks (range_query_at is restart-free against a held
-  /// announce+pin, so the timestamp stays one clock read no matter how
-  /// many slices the walk is cut into). See net/guard.h.
-  struct ScanPart {
-    AnyOrderedSet* set = nullptr;
-    RqTracker* tracker = nullptr;
-    KeyT lo = 0;  // first key of [lo, hi] this shard can hold
-    KeyT hi = 0;  // last key (inclusive)
-  };
-
-  /// The shards [lo, hi] overlaps, in key order, with per-part key bounds.
-  /// Empty when this set is not coordinated (no shared clock to scan at)
-  /// or the interval is empty.
-  std::vector<ScanPart> scan_plan(KeyT lo, KeyT hi) {
-    std::vector<ScanPart> plan;
-    if (!coordinated_ || lo > hi) return plan;
-    const size_t a = shard_index(lo);
-    const size_t b = shard_index(hi);
-    plan.reserve(b - a + 1);
-    for (size_t i = a; i <= b; ++i) {
-      ScanPart p;
-      p.set = shards_[i].get();
-      p.tracker = trackers_[i];
-      p.lo = i == a ? lo : unbias(lo_b_ + i * width_);
-      p.hi = i == b ? hi : unbias(lo_b_ + (i + 1) * width_ - 1);
-      plan.push_back(p);
+  /// A single-timestamp snapshot of [lo, hi] (requires coordinated() and
+  /// lo <= hi): the protocol of the header comment, in its batched
+  /// two-phase form, taken ONCE at construction and collected in as many
+  /// slices as the caller likes. Inline cross-shard queries collect it in
+  /// one call (coordinated_collect); the server's chunked scans collect
+  /// one bounded slice per epoll wave (net/guard.h, DESIGN.md §8).
+  ///
+  /// Construction runs the announce phase over shards [a, b], overlapped
+  /// across shards instead of sequential pin->announce per shard:
+  ///   1a. every shard's epoch-pin announce store (rq_pin_prepare — one
+  ///       store each, no validation loads);
+  ///   1b. every tracker's PENDING store (announce_pending_all — one
+  ///       cache-line write each, back-to-back, no interleaved loads);
+  ///   1c. every pin's validation (rq_pin_confirm — the announce/advance
+  ///       re-read loops, all the round-trip latency in one pass).
+  /// Then the ONE clock read and one publish pass.
+  ///
+  /// Why reordering the per-shard steps preserves §6's argument
+  /// (DESIGN.md §6): both safety properties are per shard and only
+  /// require shard i's pin AND its PENDING announce to precede the clock
+  /// read. A concurrent cleaner observes one slot, not the batch, so
+  /// interleaving shard j's stores between shard i's prepare and confirm
+  /// is indistinguishable from scheduler timing under a sequential loop.
+  /// The pin is established when confirm returns — before the clock read
+  /// — and no shared pointer is read between prepare and confirm.
+  ///
+  /// range_query_at is restart-free against the held announce + pin, so
+  /// slicing the walk never re-reads the clock: the concatenated slices
+  /// are the set's state at timestamp(), one linearization point. A
+  /// shard's announce and pin are released as soon as the walk has passed
+  /// it; the destructor releases whatever an abandoned snapshot holds.
+  ///
+  /// The pins are EBR pins on `tid`, and Ebr::pin/unpin is not reentrant
+  /// per tid: the owner must run no other operation on this set under
+  /// `tid` while the snapshot is alive (server workers dedicate a second
+  /// session id to scans for exactly this reason).
+  class Snapshot {
+   public:
+    Snapshot(ShardedSet& set, int tid, KeyT lo, KeyT hi)
+        : set_(set),
+          tid_(tid),
+          next_(set.shard_index(lo)),
+          last_(set.shard_index(hi)),
+          pos_(lo),
+          hi_(hi) {
+      assert(set.coordinated_ && lo <= hi);
+      // An active request trace (thread-local, parked by the net worker
+      // before execute) gets the fan-out spans; untraced callers pay one
+      // thread-local load and zero clock reads.
+      obs::TraceScratch* const tr = obs::current_trace();
+      const uint64_t pin_t0 = tr != nullptr ? obs::trace_now_ns() : 0;
+      const size_t n = last_ - next_ + 1;
+      for (size_t i = next_; i <= last_; ++i)
+        set.shards_[i]->rq_pin_prepare(tid);
+      RqTracker::announce_pending_all(tid, &set.trackers_[next_], n);
+      for (size_t i = next_; i <= last_; ++i)
+        set.shards_[i]->rq_pin_confirm(tid);
+      ts_ = set.gts_.read();  // the ONE timestamp acquisition
+      for (size_t i = next_; i <= last_; ++i)
+        set.trackers_[i]->publish(tid, ts_);
+      if (tr != nullptr)
+        tr->stamp(obs::TraceStage::kShardPin, pin_t0, obs::trace_now_ns(), 0,
+                  static_cast<uint16_t>(n));
+      auto& st = *set.stats_[tid];
+      bump(st.coordinated_rqs);
+      bump(st.timestamps_acquired);
     }
-    return plan;
-  }
+    ~Snapshot() {
+      while (next_ <= last_) release();
+    }
+    Snapshot(const Snapshot&) = delete;
+    Snapshot& operator=(const Snapshot&) = delete;
 
-  /// Account a coordinated scan driven externally via scan_plan() (one
-  /// clock read), so the routing counters stay truthful about how many
-  /// single-timestamp snapshots were taken and by which path.
-  void note_external_scan(int tid) {
-    auto& st = *stats_[tid];
-    bump(st.coordinated_rqs);
-    bump(st.timestamps_acquired);
-  }
+    /// Append the next slice of [lo, hi] — at most `max_keys` keys of key
+    /// space, 0 = the rest of the range — to `out`. True once the whole
+    /// range is collected; every shard is released by then.
+    ///
+    /// Trace spans: one kShardCollect per shard when the range is taken
+    /// in one call; sliced collects coalesce into one growing span
+    /// (aux16 = merged collects), since one span per shard per slice
+    /// would exhaust kTraceMaxSpans on a long scan.
+    bool collect(size_t max_keys, std::vector<std::pair<KeyT, ValT>>& out) {
+      if (next_ > last_) return true;
+      KeyT slice_hi = hi_;
+      if (max_keys > 0 && biased(hi_) - biased(pos_) >= max_keys)
+        slice_hi = unbias(biased(pos_) + max_keys - 1);
+      obs::TraceScratch* const tr = obs::current_trace();
+      for (;;) {
+        const size_t i = next_;
+        // Last key of [lo, hi] shard i holds (shard_index is monotone).
+        const KeyT part_hi =
+            i == last_ ? hi_ : unbias(set_.lo_b_ + (i + 1) * set_.width_ - 1);
+        const KeyT to = part_hi < slice_hi ? part_hi : slice_hi;
+        const uint64_t c0 = tr != nullptr ? obs::trace_now_ns() : 0;
+        set_.shards_[i]->range_query_at(tid_, ts_, pos_, to, out);
+        if (to == part_hi) release();
+        if (tr != nullptr) {
+          if (max_keys == 0)
+            tr->stamp(obs::TraceStage::kShardCollect, c0, obs::trace_now_ns(),
+                      static_cast<uint8_t>(i < 255 ? i : 255), 0);
+          else
+            tr->stamp_coalesce(obs::TraceStage::kShardCollect, c0,
+                               obs::trace_now_ns());
+        }
+        if (to == hi_) return true;
+        pos_ = to + 1;
+        if (to == slice_hi) return false;
+      }
+    }
+
+    /// The shared-clock value every collected slice is read at.
+    timestamp_t timestamp() const noexcept { return ts_; }
+
+   private:
+    void release() noexcept {
+      set_.trackers_[next_]->end(tid_);
+      set_.shards_[next_]->rq_unpin(tid_);
+      ++next_;
+    }
+
+    ShardedSet& set_;
+    const int tid_;
+    size_t next_;        // first shard still pinned and announced in
+    const size_t last_;  // last shard [lo, hi] overlaps
+    KeyT pos_;           // first key not yet collected
+    const KeyT hi_;
+    timestamp_t ts_ = 0;
+  };
 
   ShardedSetStats stats() const {
     ShardedSetStats t;
@@ -435,28 +531,8 @@ class ShardedSet final : public AnyOrderedSet {
     c.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// The single-timestamp protocol (header comment), in its batched
-  /// two-phase form. Returns T, the one shared-clock value every
-  /// overlapping shard was snapshot at.
-  ///
-  /// Announce phase, overlapped across shards instead of sequential
-  /// pin->announce per shard:
-  ///   1a. every shard's epoch-pin announce store (rq_pin_prepare — one
-  ///       store each, no validation loads);
-  ///   1b. every tracker's PENDING store (announce_pending_all — one
-  ///       cache-line write each, back-to-back, no interleaved loads);
-  ///   1c. every pin's validation (rq_pin_confirm — the announce/advance
-  ///       re-read loops, all the round-trip latency in one pass).
-  /// Then the ONE clock read, one publish pass, and collection.
-  ///
-  /// Why reordering the per-shard steps preserves §6's argument
-  /// (DESIGN.md §9): both safety properties are per shard and only
-  /// require shard i's pin AND its PENDING announce to precede the clock
-  /// read. A concurrent cleaner observes one slot, not the batch, so
-  /// interleaving shard j's stores between shard i's prepare and confirm
-  /// is indistinguishable from scheduler timing under the old loop. The
-  /// pin is established when confirm returns — before the clock read —
-  /// and no shared pointer is read between prepare and confirm.
+  /// A cross-shard query's Snapshot, collected in one call. Returns T,
+  /// the one shared-clock value every overlapping shard was read at.
   ///
   /// Elision: only shards in [a, b] — the span [lo, hi] provably overlaps
   /// under the contiguous partition (shard_index is monotone) — pay any
@@ -467,34 +543,19 @@ class ShardedSet final : public AnyOrderedSet {
   timestamp_t coordinated_collect(int tid, size_t a, size_t b, KeyT lo,
                                   KeyT hi,
                                   std::vector<std::pair<KeyT, ValT>>& out) {
-    // An active request trace (thread-local, parked by the net worker
-    // before execute) gets the fan-out spans; untraced callers pay one
-    // thread-local load and zero clock reads.
-    obs::TraceScratch* const tr = obs::current_trace();
-    const uint64_t pin_t0 = tr != nullptr ? obs::trace_now_ns() : 0;
-    for (size_t i = a; i <= b; ++i) shards_[i]->rq_pin_prepare(tid);
-    RqTracker::announce_pending_all(tid, &trackers_[a], b - a + 1);
-    for (size_t i = a; i <= b; ++i) shards_[i]->rq_pin_confirm(tid);
-    const timestamp_t ts = gts_.read();  // the ONE timestamp acquisition
-    for (size_t i = a; i <= b; ++i) trackers_[i]->publish(tid, ts);
-    if (tr != nullptr)
-      tr->stamp(obs::TraceStage::kShardPin, pin_t0, obs::trace_now_ns(), 0,
-                static_cast<uint16_t>(b - a + 1));
-    for (size_t i = a; i <= b; ++i) {
-      const uint64_t c0 = tr != nullptr ? obs::trace_now_ns() : 0;
-      shards_[i]->range_query_at(tid, ts, lo, hi, out);
-      trackers_[i]->end(tid);
-      shards_[i]->rq_unpin(tid);
-      if (tr != nullptr)
-        tr->stamp(obs::TraceStage::kShardCollect, c0, obs::trace_now_ns(),
-                  static_cast<uint8_t>(i < 255 ? i : 255), 0);
-    }
-    auto& st = *stats_[tid];
-    bump(st.coordinated_rqs);
-    bump(st.timestamps_acquired);
-    st.coordinated_shards_pinned.fetch_add(b - a + 1,
-                                           std::memory_order_relaxed);
-    return ts;
+    Snapshot snap(*this, tid, lo, hi);
+    snap.collect(0, out);
+    stats_[tid]->coordinated_shards_pinned.fetch_add(
+        b - a + 1, std::memory_order_relaxed);
+    return snap.timestamp();
+  }
+
+  /// A one-shard set never merges, so every query — the lo > hi case and
+  /// the inner set's own stamp included — is its only shard's answer.
+  template <typename Out>
+  size_t single_shard(int tid, KeyT lo, KeyT hi, Out& out) {
+    bump(stats_[tid]->single_shard_rqs);
+    return shards_[0]->range_query(tid, lo, hi, out);
   }
 
   /// Graceful degradation: each overlapping shard's own linearizable

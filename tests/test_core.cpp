@@ -6,12 +6,13 @@
 #include <atomic>
 #include <thread>
 
+#include "api/registry.h"
 #include "core/bundle.h"
-#include "core/bundle_cleaner.h"
 #include "core/global_timestamp.h"
 #include "core/rq_tracker.h"
 #include "core/sync_hooks.h"
 #include "epoch/ebr.h"
+#include "shard/maintenance.h"
 #include "test_util.h"
 
 namespace bref {
@@ -330,18 +331,23 @@ TEST(RqTracker, OldestActiveWaitsOutPendingAnnounce) {
   rq.end(1);  // query stays active until the scan is checked
 }
 
-// ---------- BundleCleaner (on a real structure) ----------
+// ---------- background bundle pruning (on a real structure) ----------
 
-TEST(BundleCleaner, PrunesQuiescentListToMinimalEntries) {
-  BundleListSet list;
+TEST(BundlePruning, PrunesQuiescentListToMinimalEntries) {
+  // maintain() prunes only instances that reclaim.
+  detail::AnySetAdapter<BundleListSet> set(1, /*reclaim=*/true);
+  BundleListSet& list = set.underlying();
   for (KeyT k = 1; k <= 50; ++k) list.insert(0, k, k);
   for (KeyT k = 1; k <= 50; k += 2) list.remove(0, k);
   const size_t before = list.total_bundle_entries();
   {
-    BundleCleaner<BundleListSet> cleaner(list, std::chrono::milliseconds(1));
+    MaintenanceService maint(set, {.interval = std::chrono::milliseconds(1),
+                                   .adaptive = false});
+    maint.start();
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    EXPECT_GT(cleaner.passes(), 0u);
-    EXPECT_GT(cleaner.entries_reclaimed(), 0u);
+    maint.stop();
+    EXPECT_GT(maint.total().passes, 0u);
+    EXPECT_GT(maint.total().bundle_entries_pruned, 0u);
   }
   const size_t after = list.total_bundle_entries();
   EXPECT_LT(after, before);

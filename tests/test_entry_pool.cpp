@@ -14,11 +14,12 @@
 #include <cstring>
 #include <thread>
 
+#include "api/registry.h"
 #include "core/bundle.h"
-#include "core/bundle_cleaner.h"
 #include "core/entry_pool.h"
 #include "core/slab_source.h"
 #include "ds/bundled/bundled_skiplist.h"
+#include "shard/maintenance.h"
 #include "test_util.h"
 
 namespace bref {
@@ -102,7 +103,7 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   using SL = BundledSkipList<KeyT, ValT>;
   SL::set_entry_pooling(true);
   SL sl(1, /*reclaim=*/true);
-  constexpr int kCleanerTid = kMaxThreads - 1;
+  constexpr int kCleanerTid = 1;  // the test's own second id
   Xoshiro256 rng(41);
   auto round = [&] {
     for (int i = 0; i < 200; ++i) {
@@ -142,19 +143,23 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   EXPECT_TRUE(sl.check_invariants());
 }
 
-// Churn + aggressive cleaner + concurrent range queries. Entries recycle
-// at the highest rate the cleaner can drive while readers walk the very
-// chains being pruned; EBR's grace period is the only thing making that
-// safe. Under ASan the pool poisons a free entry's (ptr, ts) words, so an
+// Churn + aggressive maintenance + concurrent range queries. Entries
+// recycle at the highest rate the cleaner can drive while readers walk the
+// very chains being pruned; EBR's grace period is the only thing making
+// that safe. Under ASan the pool poisons a free entry's (ptr, ts) words, so an
 // entry recycled while still reachable faults immediately instead of
 // feeding a reader a stale-but-plausible timestamp; in all builds the
 // snapshot validation catches corruption after the fact.
 TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
   using SL = BundledSkipList<KeyT, ValT>;
   SL::set_entry_pooling(true);
-  SL sl(1, /*reclaim=*/true);
+  detail::AnySetAdapter<BundleSkipListSet> set(1, /*reclaim=*/true);
+  SL& sl = set.underlying();
   for (KeyT k = 1; k <= 400; ++k) sl.insert(0, k * 2, k);
-  BundleCleaner<SL> cleaner(sl, std::chrono::milliseconds(0));
+  // Table 1's d = 0: a maintenance pass per retire.
+  MaintenanceService cleaner(
+      set, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  cleaner.start();
   std::atomic<bool> stop{false};
   std::atomic<long> rq_failures{0};
   constexpr int kUpdaters = 2;
@@ -185,7 +190,7 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
   for (auto& t : readers) t.join();
   cleaner.stop();
   EXPECT_EQ(rq_failures.load(), 0);
-  EXPECT_GT(cleaner.pool_stats().recycled, 0u);
+  EXPECT_GT(sl.entry_pool_stats().recycled, 0u);
   EXPECT_TRUE(sl.check_invariants());
 }
 

@@ -258,6 +258,22 @@ TEST(Server, MalformedBodyKeepsConnectionAlive) {
   srv.stop();
 }
 
+// TRACE_DUMP takes an empty body (dump) or an 8-byte policy; the old
+// 4-byte rate-only body is malformed, and the stream stays in sync.
+TEST(Server, FourByteTraceDumpBodyIsMalformed) {
+  Server srv(small_opts());
+  srv.start();
+  Client c(srv.port());
+  std::vector<uint8_t> raw;
+  put_u32(raw, 1 + 4);
+  raw.push_back(static_cast<uint8_t>(Op::kTraceDump));
+  put_u32(raw, 1);
+  c.write_all(raw.data(), raw.size());
+  EXPECT_EQ(c.read_reply(Op::kTraceDump).status, Status::kErrMalformed);
+  EXPECT_TRUE(c.ping());
+  srv.stop();
+}
+
 // An oversized declared length poisons the stream: error reply, then the
 // server closes that connection — but the loop and other connections
 // survive.
@@ -590,14 +606,12 @@ TEST(Observability, UntracedClientsAndUnknownTraceIdsBehave) {
 
 // ---- acceptance: loopback linearizability audit ----------------------------
 
-// Concurrent clients run a mixed point/range workload over the server;
-// RANGE responses carry server-side snapshot timestamps (one shared clock
-// across the 4 shards), so the history must pass the timestamp-aware
-// Wing–Gong check: linearizable AND stamped queries in @ts order.
-TEST(Linearizability, LoopbackMixedWorkloadAuditsCleanWithTimestamps) {
+// Concurrent clients run a mixed point/range workload over keys 1..7 of
+// a server built from `o`; RANGE responses carry server-side snapshot
+// timestamps, so the history must pass the timestamp-aware Wing–Gong
+// check: linearizable AND stamped queries in @ts order.
+void expect_loopback_audit_clean(const ServerOptions& o) {
   constexpr int kThreads = 6;
-  ServerOptions o = small_opts(/*workers=*/3, /*shards=*/4);
-  o.key_hi = 8;  // keys 1..7 spread over all four shards
   Server srv(o);
   srv.start();
   for (int burst = 0; burst < 10; ++burst) {
@@ -651,8 +665,10 @@ TEST(Linearizability, LoopbackMixedWorkloadAuditsCleanWithTimestamps) {
               break;
             }
             default: {
-              // Spans every shard -> coordinated single-timestamp path.
+              // Spans every key: with several shards, the coordinated
+              // single-timestamp path.
               c.range(1, 8, out);
+              EXPECT_TRUE(out.has_timestamp());
               logs[t].record_rq(out, t0, validation::now_ns());
               break;
             }
@@ -670,6 +686,53 @@ TEST(Linearizability, LoopbackMixedWorkloadAuditsCleanWithTimestamps) {
   // The audit must have exercised the wire RANGE path with stamps.
   const ServerStats st = srv.stats();
   EXPECT_GT(st.frames, 0u);
+  srv.stop();
+}
+
+// Four shards: one shared clock stamps every cross-shard RANGE.
+TEST(Linearizability, LoopbackMixedWorkloadAuditsCleanWithTimestamps) {
+  ServerOptions o = small_opts(/*workers=*/3, /*shards=*/4);
+  o.key_hi = 8;  // keys 1..7 spread over all four shards
+  expect_loopback_audit_clean(o);
+}
+
+// One shard over a family that cannot coordinate: the server answers
+// RANGE exactly as the bare implementation does, its own stamp included.
+TEST(Linearizability, UnshardedEbrRqStampsAuditClean) {
+  ServerOptions o = small_opts(/*workers=*/3, /*shards=*/1);
+  o.impl = "EBR-RQ-skiplist";
+  expect_loopback_audit_clean(o);
+}
+
+// One shard over a coordinated family: a RANGE wider than a slice runs as
+// a chunked scan at one timestamp — the clock value inline RANGEs read.
+TEST(Unsharded, WideRangeRunsAsOneChunkedSnapshot) {
+  ServerOptions o = small_opts(/*workers=*/1, /*shards=*/1);
+  o.key_hi = 1 << 12;
+  o.guard.scan_chunk_keys = 64;  // whole keyspace = many slices
+  Server srv(o);
+  srv.start();
+  Client c(srv.port());
+  size_t inserted = 0;
+  for (KeyT k = 1; k < (1 << 12); k += 5) {
+    ASSERT_TRUE(c.insert(k, k + 1));
+    ++inserted;
+  }
+  const ServerStats before = srv.stats();
+  RangeSnapshot whole;
+  ASSERT_EQ(c.range(0, 1 << 12, whole), inserted);
+  for (const auto& [k, v] : whole) EXPECT_EQ(v, k + 1);
+  const ServerStats st = srv.stats();
+  EXPECT_EQ(st.chunked_rqs - before.chunked_rqs, 1u);
+  EXPECT_GT(st.scan_slices - before.scan_slices, 1u);
+  // Every insert advanced the clock once; a quiescent snapshot reads it.
+  ASSERT_TRUE(whole.has_timestamp());
+  EXPECT_EQ(whole.timestamp(), inserted);
+  RangeSnapshot narrow;  // inline: narrower than one slice
+  ASSERT_EQ(c.range(1, 11, narrow), 3u);
+  EXPECT_EQ(srv.stats().chunked_rqs, st.chunked_rqs);
+  ASSERT_TRUE(narrow.has_timestamp());
+  EXPECT_EQ(narrow.timestamp(), whole.timestamp());
   srv.stop();
 }
 

@@ -1,5 +1,6 @@
 // Memory-reclamation tests (Section 7 / supplementary B): bundle-entry
-// recycling via the background cleaner, EBR-backed node reclamation, the
+// recycling via background maintenance (MaintenanceService driving
+// prune_bundles, the paper's cleaner), EBR-backed node reclamation, the
 // paper's space-overhead claim (amortized two bundle entries per insert),
 // and limbo-list bounding for the EBR-RQ baselines.
 
@@ -9,7 +10,8 @@
 #include <chrono>
 #include <thread>
 
-#include "core/bundle_cleaner.h"
+#include "api/registry.h"
+#include "shard/maintenance.h"
 #include "test_util.h"
 
 namespace bref {
@@ -38,12 +40,12 @@ TEST(SpaceOverhead, CleanerWithActiveRqPreservesItsSnapshot) {
   // Pruning with the RQ active may drop entries strictly older than each
   // bundle's covering entry for ts, but must keep every covering entry:
   // afterwards each live bundle still satisfies the announced snapshot.
-  list.prune_bundles(kMaxThreads - 1);
+  list.prune_bundles(0);
   (void)ts;
   const size_t with_rq = list.total_bundle_entries();
   // Once the RQ retires, its covering entries become prunable too.
   list.rq_tracker().end(5);
-  size_t pruned = list.prune_bundles(kMaxThreads - 1);
+  size_t pruned = list.prune_bundles(0);
   EXPECT_GT(pruned, 0u) << "entries pinned by the RQ were not reclaimable "
                            "after it finished";
   EXPECT_LT(list.total_bundle_entries(), with_rq);
@@ -53,9 +55,12 @@ TEST(SpaceOverhead, CleanerWithActiveRqPreservesItsSnapshot) {
 }
 
 TEST(Cleaner, ConcurrentCleanerNeverBreaksQueries) {
-  BundledSkipList<KeyT, ValT> sl(1, /*reclaim=*/true);
-  BundleCleaner<BundledSkipList<KeyT, ValT>> cleaner(
-      sl, std::chrono::milliseconds(0));  // most aggressive (Table 1 d=0)
+  detail::AnySetAdapter<BundleSkipListSet> set(1, /*reclaim=*/true);
+  BundleSkipListSet& sl = set.underlying();
+  // Most aggressive cadence (Table 1's d = 0): a pass per retire.
+  MaintenanceService cleaner(
+      set, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  cleaner.start();
   std::atomic<bool> stop{false};
   std::atomic<long> rq_failures{0};
   std::thread rq_thread([&] {
@@ -85,17 +90,18 @@ TEST(Cleaner, ConcurrentCleanerNeverBreaksQueries) {
   // On a fast run the churn can finish before the cleaner's first pass
   // lands; the deterministic claim is that the stale entries are reclaimed
   // *somewhere* — by the cleaner while running, or by one quiescent pass now.
-  const size_t direct = sl.prune_bundles(BundleCleaner<
-      BundledSkipList<KeyT, ValT>>::kCleanerTid);
-  EXPECT_GT(cleaner.entries_reclaimed() + direct, 0u);
+  const size_t direct = sl.prune_bundles(0);
+  EXPECT_GT(cleaner.total().bundle_entries_pruned + direct, 0u);
 }
 
 TEST(Cleaner, CitrusBundlesPrunedUnderChurn) {
-  BundledCitrus<KeyT, ValT> ct(1, /*reclaim=*/true);
+  detail::AnySetAdapter<BundleCitrusSet> set(1, /*reclaim=*/true);
+  BundleCitrusSet& ct = set.underlying();
   for (KeyT k = 1; k <= 400; ++k) ct.insert(0, k * 7 % 401 + 1, k);
   {
-    BundleCleaner<BundledCitrus<KeyT, ValT>> cleaner(
-        ct, std::chrono::milliseconds(1));
+    MaintenanceService cleaner(set, {.interval = std::chrono::milliseconds(1),
+                                     .adaptive = false});
+    cleaner.start();
     testutil::run_threads(2, [&](int tid) {
       Xoshiro256 rng(tid + 77);
       for (int i = 0; i < 4000; ++i) {
@@ -111,7 +117,7 @@ TEST(Cleaner, CitrusBundlesPrunedUnderChurn) {
   EXPECT_TRUE(ct.check_invariants());
   // Quiescent cleanup: one pass with no active queries leaves one entry
   // per live bundle.
-  ct.prune_bundles(kMaxThreads - 1);
+  ct.prune_bundles(0);
   size_t live_bundles = 2 * (ct.size_slow() + 1);  // two per node + root
   EXPECT_EQ(ct.total_bundle_entries(), live_bundles);
 }

@@ -409,6 +409,141 @@ TEST(CoordinatedRq, MixedSpanChurnAuditExercisesBatchedAnnounceAndElision) {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot: the protocol's one implementation, collected whole or sliced.
+// ---------------------------------------------------------------------------
+
+using Items = std::vector<std::pair<KeyT, ValT>>;
+
+/// [lo, hi] from one fresh Snapshot, collected in slices of `max_keys`
+/// keys of key space (0 = one call); `calls` counts the collect() calls.
+Items collect_sliced(ShardedSet& s, int tid, KeyT lo, KeyT hi,
+                     size_t max_keys, size_t* calls = nullptr) {
+  ShardedSet::Snapshot snap(s, tid, lo, hi);
+  Items out;
+  size_t n = 1;
+  while (!snap.collect(max_keys, out)) ++n;
+  if (calls != nullptr) *calls = n;
+  return out;
+}
+
+TEST(Snapshot, SlicedCollectionEqualsOneCallQuiescent) {
+  ShardedSet s("Bundle-skiplist", small_range(4, 0, 400));
+  ASSERT_TRUE(s.coordinated());
+  ThreadSession sess(s, 0);
+  for (KeyT k = 1; k < 400; k += 3) sess.insert(k, k * 10);
+  const std::pair<KeyT, KeyT> spans[] = {
+      {0, 400}, {0, 399}, {30, 60}, {99, 101}, {5, 5}, {-50, 1000}};
+  for (const auto& [lo, hi] : spans) {
+    const Items whole = collect_sliced(s, 1, lo, hi, 0);
+    Items rq;
+    s.range_query(1, lo, hi, rq);
+    EXPECT_EQ(whole, rq) << "[" << lo << ", " << hi << "]";
+    for (size_t keys : {1, 7, 4096})
+      EXPECT_EQ(collect_sliced(s, 1, lo, hi, keys), whole)
+          << "[" << lo << ", " << hi << "] in slices of " << keys;
+  }
+  // Slices are keys of key space, not keys returned: ceil(400 / 7).
+  size_t calls = 0;
+  collect_sliced(s, 1, 0, 399, 7, &calls);
+  EXPECT_EQ(calls, 58u);
+  collect_sliced(s, 1, 0, 399, 100, &calls);
+  EXPECT_EQ(calls, 4u);
+}
+
+TEST(Snapshot, SlicedCollectionUnderChurnKeepsEveryStableKey) {
+  // Odd keys are prefilled and never updated; two updaters churn the even
+  // keys and maintenance prunes behind them. However the walk is sliced,
+  // and whatever runs between slices, every result is ascending, inside
+  // its bounds, and holds every odd key with its value.
+  ShardedSet s("Bundle-skiplist",
+               small_range(4, 0, 400, SetOptions{.reclaim = true}));
+  {
+    ThreadSession sess(s, 0);
+    for (KeyT k = 1; k < 400; k += 2) sess.insert(k, k);
+  }
+  MaintenanceService svc(
+      s, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  svc.start();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> updaters;
+  for (int t = 0; t < 2; ++t) {
+    updaters.emplace_back([&, t] {
+      Xoshiro256 rng(91 + t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const KeyT k = 2 * static_cast<KeyT>(rng.next_range(200));
+        if (rng.next_range(2) == 0)
+          s.insert(t, k, k);
+        else
+          s.remove(t, k);
+      }
+    });
+  }
+  Xoshiro256 rng(7);
+  for (int round = 0; round < 200; ++round) {
+    const KeyT lo = static_cast<KeyT>(rng.next_range(300));
+    const KeyT hi = lo + static_cast<KeyT>(rng.next_range(100));
+    for (size_t keys : {1, 7, 4096}) {
+      ShardedSet::Snapshot snap(s, 2, lo, hi);
+      Items out;
+      while (!snap.collect(keys, out)) std::this_thread::yield();
+      ASSERT_TRUE(testutil::sorted_in_range(out, lo, hi));
+      std::set<KeyT> seen;
+      for (const auto& [k, v] : out) {
+        EXPECT_EQ(v, k);
+        seen.insert(k);
+      }
+      for (KeyT k = lo | 1; k <= hi; k += 2)
+        ASSERT_TRUE(seen.count(k)) << "odd key " << k << " missing from ["
+                                   << lo << ", " << hi << "] in slices of "
+                                   << keys;
+    }
+  }
+  stop = true;
+  for (auto& t : updaters) t.join();
+  svc.stop();
+  EXPECT_TRUE(s.check_invariants());
+}
+
+TEST(Snapshot, SlicedSnapshotsCountOneClockReadAndNoPins) {
+  ShardedSet s("Bundle-list", small_range(4, 0, 100));
+  ThreadSession sess(s, 0);
+  for (KeyT k = 1; k <= 99; ++k) sess.insert(k, k);
+  EXPECT_EQ(collect_sliced(s, 1, 0, 100, 16).size(), 99u);
+  ShardedSetStats st = s.stats();
+  EXPECT_EQ(st.coordinated_rqs, 1u);
+  EXPECT_EQ(st.timestamps_acquired, 1u);
+  EXPECT_EQ(st.coordinated_shards_pinned, 0u);
+  // An inline cross-shard query still adds its overlap: [30, 60] pins 2.
+  RangeSnapshot snap;
+  EXPECT_EQ(sess.range_query(30, 60, snap), 31u);
+  st = s.stats();
+  EXPECT_EQ(st.coordinated_rqs, 2u);
+  EXPECT_EQ(st.timestamps_acquired, 2u);
+  EXPECT_EQ(st.coordinated_shards_pinned, 2u);
+}
+
+TEST(Snapshot, ReleasesShardsAsTheWalkPassesAndTheRestWhenDropped) {
+  // [0, 100] over 4 shards: width 25, so [30, 90] overlaps shards 1..3.
+  ShardedSet s("Bundle-skiplist", small_range(4, 0, 100));
+  auto announced = [&](size_t i) {
+    return s.shard(i).rq_tracker_hook()->active_count();
+  };
+  Items out;
+  {
+    ShardedSet::Snapshot snap(s, 1, 30, 90);
+    EXPECT_EQ(announced(0), 0);
+    EXPECT_EQ(announced(1), 1);
+    EXPECT_EQ(announced(2), 1);
+    EXPECT_EQ(announced(3), 1);
+    EXPECT_FALSE(snap.collect(25, out));  // [30, 54]: walks past shard 1
+    EXPECT_EQ(announced(1), 0);
+    EXPECT_EQ(announced(2), 1);
+    EXPECT_EQ(announced(3), 1);
+  }  // abandoned mid-walk
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(announced(i), 0) << "shard " << i;
+}
+
+// ---------------------------------------------------------------------------
 // Fallback (non-coordinated inner families).
 // ---------------------------------------------------------------------------
 
@@ -438,6 +573,31 @@ TEST(FallbackRq, NonCoordinatedFamilyMergesPerShardWithoutClaims) {
   EXPECT_EQ(st.fallback_rqs, 1u);
   EXPECT_EQ(st.single_shard_rqs, 1u);
   EXPECT_EQ(st.timestamps_acquired, 0u);
+}
+
+TEST(FallbackRq, OneShardAnswersExactlyAsItsInnerSet) {
+  // One shard never merges, so nothing needs stripping: the set claims
+  // and stamps what its inner set does (the server's unsharded path).
+  ShardedSet s("EBR-RQ-list", small_range(1, 0, 100));
+  EXPECT_FALSE(s.coordinated());
+  const Capabilities caps = s.capabilities();
+  const Capabilities inner = s.shard(0).capabilities();
+  EXPECT_EQ(caps.linearizable_rq, inner.linearizable_rq);
+  EXPECT_EQ(caps.rq_timestamp, inner.rq_timestamp);
+  EXPECT_TRUE(caps.rq_timestamp);
+  ThreadSession sess(s, 0);
+  for (KeyT k = 1; k <= 99; ++k) sess.insert(k, k * 2);
+  RangeSnapshot mine, theirs;
+  EXPECT_EQ(sess.range_query(1, 99, mine), 99u);
+  EXPECT_TRUE(mine.has_timestamp());
+  // The empty interval too: whatever the inner set stamps, so does this.
+  s.range_query(0, 50, 10, mine);
+  s.shard(0).range_query(0, 50, 10, theirs);
+  EXPECT_EQ(mine.items(), theirs.items());
+  EXPECT_EQ(mine.timestamp(), theirs.timestamp());
+  const ShardedSetStats st = s.stats();
+  EXPECT_EQ(st.fallback_rqs, 0u);
+  EXPECT_EQ(st.single_shard_rqs, 2u);
 }
 
 // ---------------------------------------------------------------------------
