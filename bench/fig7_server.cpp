@@ -610,7 +610,7 @@ int main(int argc, char** argv) {
             bg_scans.fetch_add(1, std::memory_order_relaxed);
             std::this_thread::sleep_for(std::chrono::milliseconds(25));
           }
-        } catch (const net::ClientError&) {
+        } catch (const net::NetError&) {
           // Tear-down racing the last scan; the bg_scans count stands.
         }
       });
@@ -627,7 +627,7 @@ int main(int argc, char** argv) {
         net::Client mc(cfg.port);
         midrun_metrics = mc.metrics();
         midrun_stats = mc.stats();
-      } catch (const net::ClientError&) {
+      } catch (const net::NetError&) {
         // A scrape failure shows up as midrun_connections: -1 below.
       }
     });
@@ -675,7 +675,7 @@ int main(int argc, char** argv) {
       try {
         net::Client tc(cfg.port);
         trace_slowest = slowest_traces_json(tc.trace_dump(), 10);
-      } catch (const net::ClientError&) {
+      } catch (const net::NetError&) {
         // Dump is best-effort; an empty "slowest" fails the gate loudly.
       }
     }

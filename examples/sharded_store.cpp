@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
               sharded.num_shards(), sharded.coordinated() ? "yes" : "no");
 
   // One background worker per shard: bundle pruning + epoch pushes, with
-  // adaptive back-off. Pooled ids, because every thread here pools.
-  MaintenanceService maint(sharded,
-                           MaintenanceOptions{.pooled_tids = true});
+  // adaptive back-off. Its ids are registry-tracked, so they never collide
+  // with the pooled ids every other thread here uses.
+  MaintenanceService maint(sharded);
   maint.start();
 
   // Partition-aware parallel preload: one loader per shard, each writing

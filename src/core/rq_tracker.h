@@ -7,8 +7,13 @@
 // because reading the global timestamp and publishing it cannot be one
 // atomic action; the cleaner waits out PENDING slots so it can never miss a
 // query that has read the clock but not yet published its value.
+//
+// The range-query protocol around the announce lives here too, once for the
+// three bundled structures: snapshot() for queries that fix their own
+// timestamp, collect_at() for range_query_at (DESIGN.md §4).
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 
 #include "common/backoff.h"
@@ -68,6 +73,37 @@ class RqTracker {
 
   void end(int tid) noexcept {
     slots_[tid]->store(kNone, std::memory_order_release);
+  }
+
+  /// Algorithm 3's protocol, once for every bundled structure: announce and
+  /// fix a snapshot timestamp, run `walk(ts)`, and restart at a newer
+  /// timestamp while the walk reports that a link it needed postdates the
+  /// snapshot (returns false). Returns the timestamp the walk succeeded at.
+  /// A reclaiming caller pins its EBR guard before calling, so the pin
+  /// precedes every clock read.
+  template <typename Walk>
+  timestamp_t snapshot(int tid, const GlobalTimestamp& gts, Walk&& walk) {
+    for (;;) {
+      const timestamp_t ts = begin(tid, gts);
+      if (walk(ts)) {
+        end(tid);
+        return ts;
+      }
+    }
+  }
+
+  /// range_query_at's retry at an externally fixed timestamp: rerun `walk()`
+  /// until it succeeds. Under the caller contract (the timestamp announced
+  /// here, and the EBR pin taken, before the clock read) a walk can only
+  /// fail on the bounded optimistic-entry race, never repeatedly: a walk
+  /// that keeps failing means the timestamp was never announced and the
+  /// cleaner pruned past it — a contract violation, not a state to spin in
+  /// silently.
+  template <typename Walk>
+  static void collect_at(Walk&& walk) {
+    for (uint64_t attempts = 0; !walk(); ++attempts)
+      assert(attempts < (1u << 20) &&
+             "range_query_at: ts not announced in rq_tracker()?");
   }
 
   /// Oldest timestamp any active or future range query can observe.

@@ -157,57 +157,9 @@ class BundledCitrus {
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    std::vector<Node*> stack;
-    for (;;) {
-      const timestamp_t ts = rq_.begin(tid, gts_);
-      bool ok = true;
-      // Descend via bundles to the root of the smallest subtree covering
-      // [lo, hi] in the snapshot.
-      auto d = root_->bundles[0].dereference(ts);
-      if (!d.found) continue;
-      Node* m = d.ptr;
-      while (m != nullptr && (m->key < lo || m->key > hi)) {
-        const int dir = (m->key < lo) ? 1 : 0;
-        auto dn = m->bundles[dir].dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        m = dn.ptr;
-      }
-      if (!ok) continue;
-      out.clear();
-      if (m != nullptr) {
-        stack.clear();
-        stack.push_back(m);
-        while (!stack.empty()) {
-          Node* n = stack.back();
-          stack.pop_back();
-          if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
-          if (n->key > lo) {  // left subtree can intersect the range
-            auto dl = n->bundles[0].dereference(ts);
-            if (!dl.found) {
-              ok = false;
-              break;
-            }
-            if (dl.ptr != nullptr) stack.push_back(dl.ptr);
-          }
-          if (n->key < hi) {  // right subtree can intersect the range
-            auto dr = n->bundles[1].dereference(ts);
-            if (!dr.found) {
-              ok = false;
-              break;
-            }
-            if (dr.ptr != nullptr) stack.push_back(dr.ptr);
-          }
-        }
-      }
-      if (!ok) continue;
-      std::sort(out.begin(), out.end());
-      rq_.end(tid);
-      *last_rq_ts_[tid] = ts;
-      return out.size();
-    }
+    *last_rq_ts_[tid] = rq_.snapshot(
+        tid, gts_, [&](timestamp_t ts) { return walk(ts, lo, hi, out); });
+    return out.size();
   }
 
   /// Snapshot timestamp the calling thread's last completed range query
@@ -225,57 +177,9 @@ class BundledCitrus {
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
     if (lo > hi) return 0;
-    std::vector<Node*> stack;
     const size_t base = out.size();
-    for (uint64_t attempts = 0;; ++attempts) {
-      // Repeated failure = ts was never announced and the cleaner pruned
-      // past it (contract violation); see bundled_list.h.
-      assert(attempts < (1u << 20) &&
-             "range_query_at: ts not announced in rq_tracker()?");
-      out.resize(base);
-      bool ok = true;
-      auto d = root_->bundles[0].dereference(ts);
-      if (!d.found) continue;  // defensive; ts-0 root entry satisfies ts
-      Node* m = d.ptr;
-      while (m != nullptr && (m->key < lo || m->key > hi)) {
-        const int dir = (m->key < lo) ? 1 : 0;
-        auto dn = m->bundles[dir].dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        m = dn.ptr;
-      }
-      if (!ok) continue;
-      if (m != nullptr) {
-        stack.clear();
-        stack.push_back(m);
-        while (!stack.empty()) {
-          Node* n = stack.back();
-          stack.pop_back();
-          if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
-          if (n->key > lo) {
-            auto dl = n->bundles[0].dereference(ts);
-            if (!dl.found) {
-              ok = false;
-              break;
-            }
-            if (dl.ptr != nullptr) stack.push_back(dl.ptr);
-          }
-          if (n->key < hi) {
-            auto dr = n->bundles[1].dereference(ts);
-            if (!dr.found) {
-              ok = false;
-              break;
-            }
-            if (dr.ptr != nullptr) stack.push_back(dr.ptr);
-          }
-        }
-      }
-      if (!ok) continue;
-      std::sort(out.begin() + static_cast<ptrdiff_t>(base), out.end());
-      return out.size() - base;
-    }
+    RqTracker::collect_at([&] { return walk(ts, lo, hi, out); });
+    return out.size() - base;
   }
 
   // -- cleaner hook -------------------------------------------------------
@@ -372,6 +276,50 @@ class BundledCitrus {
       curr = pred->child[d].load(std::memory_order_acquire);
     }
     return {pred, curr, dir, tag};
+  }
+
+  /// The bundle walk, the only code that reads the tree at a snapshot:
+  /// descend via bundles at `ts` from the root sentinel to the root of the
+  /// smallest subtree covering [lo, hi], collect that subtree's in-range
+  /// keys depth-first into `out`, then sort what was appended. Returns
+  /// false, with `out` as it was, when a link postdates the snapshot.
+  bool walk(timestamp_t ts, K lo, K hi,
+            std::vector<std::pair<K, V>>& out) const {
+    auto d = root_->bundles[0].dereference(ts);
+    if (!d.found) return false;
+    Node* m = d.ptr;
+    while (m != nullptr && (m->key < lo || m->key > hi)) {
+      const int dir = (m->key < lo) ? 1 : 0;
+      auto dn = m->bundles[dir].dereference(ts);
+      if (!dn.found) return false;
+      m = dn.ptr;
+    }
+    if (m == nullptr) return true;
+    const size_t base = out.size();
+    std::vector<Node*> stack{m};
+    while (!stack.empty()) {
+      Node* n = stack.back();
+      stack.pop_back();
+      if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
+      if (n->key > lo) {  // left subtree can intersect the range
+        auto dl = n->bundles[0].dereference(ts);
+        if (!dl.found) {
+          out.resize(base);
+          return false;
+        }
+        if (dl.ptr != nullptr) stack.push_back(dl.ptr);
+      }
+      if (n->key < hi) {  // right subtree can intersect the range
+        auto dr = n->bundles[1].dereference(ts);
+        if (!dr.found) {
+          out.resize(base);
+          return false;
+        }
+        if (dr.ptr != nullptr) stack.push_back(dr.ptr);
+      }
+    }
+    std::sort(out.begin() + static_cast<ptrdiff_t>(base), out.end());
+    return true;
   }
 
   void remove_simple(int tid, Node* pred, Node* curr, int dir, Node* splice) {

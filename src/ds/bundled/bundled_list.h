@@ -119,7 +119,10 @@ class BundledList {
     }
   }
 
-  /// Linearizable range query (Algorithm 3): inclusive [lo, hi].
+  /// Linearizable range query (Algorithm 3): inclusive [lo, hi]. Enters
+  /// at the optimistic seek (newest pointers) to the node preceding the
+  /// range; if that node was inserted after the snapshot, its bundle has no
+  /// entry <= ts and the query restarts at a newer timestamp.
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
     out.clear();
     if (lo > hi) {
@@ -128,54 +131,13 @@ class BundledList {
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    for (;;) {
-      const timestamp_t ts = rq_.begin(tid, gts_);
-      // Phase 1: optimistic traversal (newest pointers) to the node
-      // preceding the range.
-      Node* pred = head_;
-      {
-        Node* c = pred->next.load(std::memory_order_acquire);
-        while (c->key < lo) {
-          pred = c;
-          c = c->next.load(std::memory_order_acquire);
-        }
-      }
-      // Phase 2: enter the range strictly through bundles. If pred was
-      // inserted after our snapshot, no entry satisfies ts -> restart.
-      auto d = pred->bundle.dereference(ts);
-      if (!d.found) continue;
-      Node* curr = d.ptr;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
-      // Phase 3: collect the snapshot — exactly the nodes in range at ts.
-      out.clear();
-      uint64_t in_range_visits = 0;
-      while (curr != tail_ && curr->key <= hi) {
-        ++in_range_visits;
-        out.emplace_back(curr->key, curr->val);
-        auto dn = curr->bundle.dereference(ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
-      rq_.end(tid);
-      // Minimality (Section 4): within the range, the walk touches exactly
-      // the snapshot's nodes — never multiple versions, never restarts.
-      *rq_in_range_visits_[tid] = in_range_visits;
-      *last_rq_ts_[tid] = ts;
-      return out.size();
-    }
+    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+      return walk(traverse(lo).first, ts, lo, hi, out);
+    });
+    // Minimality (Section 4): within the range, the walk touches exactly
+    // the snapshot's nodes, never multiple versions, and appends each one.
+    *rq_in_range_visits_[tid] = out.size();
+    return out.size();
   }
 
   /// Nodes the calling thread's last completed range query visited inside
@@ -203,34 +165,10 @@ class BundledList {
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    for (;;) {
-      const timestamp_t ts = rq_.begin(tid, gts_);
-      Node* curr = head_;  // min sentinel: its bundle has a ts-0 entry
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
-      out.clear();
-      while (curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
-      rq_.end(tid);
-      *last_rq_ts_[tid] = ts;
-      return out.size();
-    }
+    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+      return walk(head_, ts, lo, hi, out);
+    });
+    return out.size();
   }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
@@ -253,49 +191,12 @@ class BundledList {
     (void)tid;
     if (lo > hi) return 0;
     const size_t base = out.size();
-    for (uint64_t attempts = 0;; ++attempts) {
-      // Under the announce contract a restart can only come from the
-      // bounded pre-seek race, never repeatedly: a walk that keeps
-      // failing means the caller's ts was never announced and the
-      // cleaner pruned past it — a contract violation, not a state to
-      // spin in silently.
-      assert(attempts < (1u << 20) &&
-             "range_query_at: ts not announced in rq_tracker()?");
-      out.resize(base);
-      // Optimistic entry (Alg. 3 phase 1) to the node preceding the range.
-      Node* pred = head_;
-      {
-        Node* c = pred->next.load(std::memory_order_acquire);
-        while (c->key < lo) {
-          pred = c;
-          c = c->next.load(std::memory_order_acquire);
-        }
-      }
-      // Phase 2 at the fixed ts; fall back to the sentinel when pred
-      // postdates the snapshot.
-      Node* curr = pred->bundle.dereference(ts).found ? pred : head_;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      while (ok && curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = curr->bundle.dereference(ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      // ok is an invariant given the announce contract (see above); the
-      // retry is defensive, not a livelock risk under the protocol.
-      if (ok) return out.size() - base;
-    }
+    RqTracker::collect_at([&] {
+      Node* pred = traverse(lo).first;
+      return walk(pred->bundle.dereference(ts).found ? pred : head_, ts, lo,
+                  hi, out);
+    });
+    return out.size() - base;
   }
 
   // -- cleaner hook (supplementary B) ------------------------------------
@@ -374,6 +275,27 @@ class BundledList {
       curr = curr->next.load(std::memory_order_acquire);
     }
     return {pred, curr};
+  }
+
+  /// The bundle walk (Algorithm 3, phases 2-3), the only code that reads
+  /// the list at a snapshot: from `from`, the head sentinel or a node
+  /// preceding the range, hop bundles at `ts` past every key below `lo`,
+  /// then append every node up to `hi` to `out`. `from` itself is never
+  /// appended. Returns false, with `out` as it was, when a hop finds no
+  /// entry <= ts: that link postdates the snapshot.
+  bool walk(Node* from, timestamp_t ts, K lo, K hi,
+            std::vector<std::pair<K, V>>& out) const {
+    const size_t base = out.size();
+    for (Node* curr = from;;) {
+      auto d = curr->bundle.dereference(ts);
+      if (!d.found) {
+        out.resize(base);
+        return false;
+      }
+      curr = d.ptr;
+      if (curr == tail_ || curr->key > hi) return true;
+      if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
+    }
   }
 
   bool validate_links(Node* pred, Node* curr) const {

@@ -245,7 +245,8 @@ class BundledSkipList {
   }
 
   /// Linearizable range query: index layers route to the data-layer node
-  /// preceding the range; from there the walk uses bundles only.
+  /// preceding the range; from there the walk uses bundles only. If that
+  /// node postdates the snapshot, the query restarts at a newer timestamp.
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
     out.clear();
     if (lo > hi) {
@@ -256,43 +257,14 @@ class BundledSkipList {
     OptEbrGuard g(ebr_, tid, reclaim_);
     Node* preds[kMaxHeight];
     Node* succs[kMaxHeight];
-    for (;;) {
-      const timestamp_t ts = rq_.begin(tid, gts_);
+    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       find(lo, preds, succs);
-      Node* pred = preds[0];  // data-layer node with key < lo
-      auto d = hop(pred, ts);
-      if (!d.found) continue;  // pred newer than our snapshot: restart
-      Node* curr = d.ptr;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto dn = hop(curr, ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
-      out.clear();
-      uint64_t in_range_visits = 0;
-      while (curr != tail_ && curr->key <= hi) {
-        ++in_range_visits;
-        out.emplace_back(curr->key, curr->val);
-        auto dn = hop(curr, ts);
-        if (!dn.found) {
-          ok = false;
-          break;
-        }
-        curr = dn.ptr;
-      }
-      if (!ok) continue;
-      rq_.end(tid);
-      // Minimality (Sections 4-5): the in-range walk touches exactly the
-      // snapshot's nodes.
-      *rq_in_range_visits_[tid] = in_range_visits;
-      *last_rq_ts_[tid] = ts;
-      return out.size();
-    }
+      return walk(preds[0], ts, lo, hi, out);
+    });
+    // Minimality (Sections 4-5): within the range, the walk touches
+    // exactly the snapshot's nodes and appends each one.
+    *rq_in_range_visits_[tid] = out.size();
+    return out.size();
   }
 
   /// Nodes the calling thread's last completed range query visited inside
@@ -319,34 +291,10 @@ class BundledSkipList {
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    for (;;) {
-      const timestamp_t ts = rq_.begin(tid, gts_);
-      Node* curr = head_;  // min sentinel: its bundle has a ts-0 entry
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = hop(curr, ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
-      out.clear();
-      while (curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = hop(curr, ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (!ok) continue;
-      rq_.end(tid);
-      *last_rq_ts_[tid] = ts;
-      return out.size();
-    }
+    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+      return walk(head_, ts, lo, hi, out);
+    });
+    return out.size();
   }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
@@ -364,35 +312,13 @@ class BundledSkipList {
     Node* preds[kMaxHeight];
     Node* succs[kMaxHeight];
     const size_t base = out.size();
-    for (uint64_t attempts = 0;; ++attempts) {
-      // Repeated failure = ts was never announced and the cleaner pruned
-      // past it (contract violation); see bundled_list.h.
-      assert(attempts < (1u << 20) &&
-             "range_query_at: ts not announced in rq_tracker()?");
-      out.resize(base);
+    RqTracker::collect_at([&] {
       find(lo, preds, succs);
       Node* pred = preds[0];  // data-layer node with key < lo
-      Node* curr = pred->bundle.dereference(ts).found ? pred : head_;
-      bool ok = true;
-      while (curr != tail_ && curr->key < lo) {
-        auto d = hop(curr, ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      while (ok && curr != tail_ && curr->key <= hi) {
-        out.emplace_back(curr->key, curr->val);
-        auto d = hop(curr, ts);
-        if (!d.found) {
-          ok = false;
-          break;
-        }
-        curr = d.ptr;
-      }
-      if (ok) return out.size() - base;
-    }
+      return walk(pred->bundle.dereference(ts).found ? pred : head_, ts, lo,
+                  hi, out);
+    });
+    return out.size() - base;
   }
 
   // -- cleaner hook -------------------------------------------------------
@@ -506,6 +432,27 @@ class BundledSkipList {
   static BundleDeref<Node> hop(Node* curr, timestamp_t ts) {
     __builtin_prefetch(curr->next(0).load(std::memory_order_relaxed));
     return curr->bundle.dereference(ts);
+  }
+
+  /// The bundle walk (Algorithm 3, phases 2-3), the only code that reads
+  /// the data layer at a snapshot: from `from`, the head sentinel or a node
+  /// preceding the range, hop() at `ts` past every key below `lo`, then
+  /// append every node up to `hi` to `out`. `from` itself is never
+  /// appended. Returns false, with `out` as it was, when a hop finds no
+  /// entry <= ts: that link postdates the snapshot.
+  bool walk(Node* from, timestamp_t ts, K lo, K hi,
+            std::vector<std::pair<K, V>>& out) const {
+    const size_t base = out.size();
+    for (Node* curr = from;;) {
+      auto d = hop(curr, ts);
+      if (!d.found) {
+        out.resize(base);
+        return false;
+      }
+      curr = d.ptr;
+      if (curr == tail_ || curr->key > hi) return true;
+      if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
+    }
   }
 
   int find(K key, Node** preds, Node** succs) const {

@@ -188,7 +188,10 @@ class SnapCollectorSkipList {
         curr = curr->next[l].load(std::memory_order_acquire);
       }
     }
+    // pred->next[0] is reloaded after the descent, so a key inserted
+    // between pred and its old successor may lie below lo: skip it.
     Node* curr = pred->next[0].load(std::memory_order_acquire);
+    while (curr->key < lo) curr = curr->next[0].load(std::memory_order_acquire);
     while (curr != tail_ && curr->key <= hi) {
       if (curr->fully_linked.load(std::memory_order_acquire) &&
           !curr->marked.load(std::memory_order_acquire))

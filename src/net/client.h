@@ -103,9 +103,6 @@ class NetError : public std::runtime_error {
   NetErrorKind kind_;
 };
 
-/// Historical name; every throw site now carries a NetErrorKind.
-using ClientError = NetError;
-
 struct ClientOptions {
   uint32_t connect_timeout_ms = 5'000;  // total budget incl. refused-retries
   uint32_t recv_timeout_ms = 1'000;     // per-recv slice (SO_RCVTIMEO)

@@ -34,11 +34,9 @@
 // dense ids from 0 without consulting the registry, and because the slot
 // is *tracked*, a concurrent try_acquire (sessions, server workers) can
 // never be handed the same id — the untracked kMaxThreads-1-index
-// convention this replaces could collide with recycled session ids.
-// `pooled_tids` switches to SessionPool-backed per-OS-thread ids, the
-// right mode when every other participant also acquires ids
-// (applications, run_pooled tests); do not mix pooled workers with
-// hand-pinned workload ids that could collide.
+// convention this replaces could collide with recycled session ids. The
+// same tracking keeps them clear of SessionPool ids, so a service can run
+// beside pooled sessions.
 //
 // Lifecycle: construct -> start() -> stop() (idempotent, restartable);
 // the destructor stops. stats(i) exposes per-shard counters.
@@ -53,7 +51,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/session.h"
 #include "api/set_interface.h"
 #include "common/cacheline.h"
 #include "common/thread_registry.h"
@@ -103,9 +100,6 @@ struct MaintenanceOptions {
   std::chrono::milliseconds max_interval{64};
   /// Back off while passes find no work; snap back when one does.
   bool adaptive = true;
-  /// Take worker ids from SessionPool (see header) instead of dedicated
-  /// top-of-range slots.
-  bool pooled_tids = false;
   /// Wake a worker as soon as this many items were retired/parked on its
   /// target since the last pass (0 disables the signal: pure interval
   /// polling). With interval == 0 this is the ONLY wake source.
@@ -142,21 +136,19 @@ class MaintenanceService {
   MaintenanceService(const MaintenanceService&) = delete;
   MaintenanceService& operator=(const MaintenanceService&) = delete;
 
-  /// Spawns the workers. In the default (non-pooled) mode every worker's
-  /// registry id is claimed HERE, before any thread starts — callers see
-  /// deterministic ThreadRegistry::in_use() accounting, and exhaustion
-  /// surfaces as ThreadSlotsExhaustedError from start() (nothing spawned,
+  /// Spawns the workers. Every worker's registry id is claimed HERE,
+  /// before any thread starts — callers see deterministic
+  /// ThreadRegistry::in_use() accounting, and exhaustion surfaces as
+  /// ThreadSlotsExhaustedError from start() (nothing spawned,
   /// already-claimed ids rolled back) instead of a silently dead worker.
   void start() {
     std::lock_guard<std::mutex> g(lifecycle_mu_);
     if (running_) return;
-    if (!opt_.pooled_tids) {
-      for (auto& w : workers_) {
-        w->tid = ThreadRegistry::instance().try_acquire_high();
-        if (w->tid < 0) {
-          release_tids();
-          throw ThreadSlotsExhaustedError();
-        }
+    for (auto& w : workers_) {
+      w->tid = ThreadRegistry::instance().try_acquire_high();
+      if (w->tid < 0) {
+        release_tids();
+        throw ThreadSlotsExhaustedError();
       }
     }
     stop_.store(false, std::memory_order_relaxed);
@@ -193,7 +185,7 @@ class MaintenanceService {
     // producer that loaded the pointer before the detach stays safe.
     if (opt_.backlog_wake != 0)
       for (auto& w : workers_) w->target->set_maintenance_signal(nullptr);
-    if (!opt_.pooled_tids) release_tids();
+    release_tids();
     running_ = false;
   }
 
@@ -236,7 +228,7 @@ class MaintenanceService {
     explicit Worker(AnyOrderedSet* t) : target(t) {}
     AnyOrderedSet* target;
     std::thread thread;
-    int tid = -1;  // registry-tracked id (non-pooled mode), set by start()
+    int tid = -1;  // registry-tracked id, set by start()
     CachePadded<std::atomic<uint64_t>> passes{};
     CachePadded<std::atomic<uint64_t>> pruned{};
     CachePadded<std::atomic<uint64_t>> flushed{};
@@ -285,7 +277,6 @@ class MaintenanceService {
   }
 
   void run(Worker& w) {
-    const int tid = opt_.pooled_tids ? SessionPool::thread_tid() : w.tid;
     auto interval = opt_.interval;
     const bool timed = opt_.interval.count() > 0;
     std::unique_lock<std::mutex> lk(mu_);
@@ -310,7 +301,7 @@ class MaintenanceService {
       lk.unlock();
       (backlog_wake ? w.backlog_wakeups : w.timer_wakeups)
           ->fetch_add(1, std::memory_order_relaxed);
-      const MaintenanceWork work = w.target->maintain(tid);
+      const MaintenanceWork work = w.target->maintain(w.tid);
       w.passes->fetch_add(1, std::memory_order_relaxed);
       w.pruned->fetch_add(work.bundle_entries_pruned,
                           std::memory_order_relaxed);

@@ -1,9 +1,11 @@
 // Unit tests for the bundling core: global timestamp (incl. relaxation),
-// Bundle prepare/finalize/dereference/pruning, linearize_update, RqTracker.
+// Bundle prepare/finalize/dereference/pruning, linearize_update, RqTracker,
+// and the bundled structures' range-query entry policies.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 
 #include "api/registry.h"
@@ -429,6 +431,126 @@ TEST(EntryPathAblation, ListFromStartConsistentUnderChurn) {
 
 TEST(EntryPathAblation, SkipListFromStartConsistentUnderChurn) {
   expect_from_start_consistent_under_churn<BundleSkipListSet>();
+}
+
+// ---------- range-query entry policies ----------
+// Every bundled range query seeks optimistically to the node before the
+// range, then walks bundles at its snapshot timestamp. When that node is
+// newer than the snapshot, range_query restarts at a newer timestamp, while
+// range_query_at, whose timestamp is fixed, re-enters through the head
+// sentinel. Both fallbacks fire only when an update lands between the clock
+// read and the seek, so these tests force one.
+
+namespace rq_entry_test {
+template <typename DS>
+DS* target = nullptr;
+
+// One-shot rq_mid_announce hook: insert 15 right after the query has read
+// the clock, so the seek for lo = 16 lands on a node newer than its ts.
+template <typename DS>
+void insert_15_once() {
+  SyncHooks::rq_mid_announce.store(nullptr, std::memory_order_relaxed);
+  target<DS>->insert(0, 15, 15);
+}
+}  // namespace rq_entry_test
+
+using Items = std::vector<std::pair<KeyT, ValT>>;
+
+template <typename DS>
+void expect_range_query_at_entries() {
+  DS ds;
+  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+  const timestamp_t ts = ds.rq_tracker().begin(1, ds.global_timestamp());
+  ds.insert(0, 15, 15);
+  ds.remove(0, 20);
+  Items out;
+  // The seek lands on 15, inserted after ts: head re-entry.
+  EXPECT_EQ(ds.range_query_at(1, ts, 16, 30, out), 2u);
+  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
+  out.clear();
+  // The seek lands on 10, live at ts: entry at the seek.
+  EXPECT_EQ(ds.range_query_at(1, ts, 11, 30, out), 2u);
+  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
+  ds.rq_tracker().end(1);
+}
+
+TEST(RqEntryPolicy, ListRangeQueryAtFallsBackToHead) {
+  expect_range_query_at_entries<BundleListSet>();
+}
+
+TEST(RqEntryPolicy, SkipListRangeQueryAtFallsBackToHead) {
+  expect_range_query_at_entries<BundleSkipListSet>();
+}
+
+template <typename DS>
+void expect_range_query_restarts() {
+  DS ds;
+  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+  rq_entry_test::target<DS> = &ds;
+  const timestamp_t before = ds.global_timestamp().read();
+  SyncHooks::rq_mid_announce.store(&rq_entry_test::insert_15_once<DS>,
+                                   std::memory_order_relaxed);
+  Items out;
+  ds.range_query(1, 16, 30, out);
+  SyncHooks::reset();
+  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
+  // The first attempt ran at `before`; only a restart reads a newer clock.
+  EXPECT_GT(ds.last_rq_timestamp(1), before);
+  EXPECT_TRUE(ds.contains(0, 15));
+}
+
+TEST(RqEntryPolicy, ListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
+  expect_range_query_restarts<BundleListSet>();
+}
+
+TEST(RqEntryPolicy, SkipListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
+  expect_range_query_restarts<BundleSkipListSet>();
+}
+
+// A range starting at the smallest key must not return the head sentinel,
+// which carries that key, from any entry point.
+template <typename DS>
+void expect_min_key_range_skips_head_sentinel() {
+  DS ds;
+  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+  constexpr KeyT kMin = std::numeric_limits<KeyT>::min();
+  const Items all{{10, 10}, {20, 20}, {30, 30}};
+  Items out;
+  ds.range_query(1, kMin, 30, out);
+  EXPECT_EQ(out, all);
+  ds.range_query_from_start(1, kMin, 30, out);
+  EXPECT_EQ(out, all);
+  out.clear();
+  const timestamp_t ts = ds.rq_tracker().begin(1, ds.global_timestamp());
+  ds.range_query_at(1, ts, kMin, 30, out);
+  ds.rq_tracker().end(1);
+  EXPECT_EQ(out, all);
+}
+
+TEST(RqEntryPolicy, ListMinKeyRangeSkipsHeadSentinel) {
+  expect_min_key_range_skips_head_sentinel<BundleListSet>();
+}
+
+TEST(RqEntryPolicy, SkipListMinKeyRangeSkipsHeadSentinel) {
+  expect_min_key_range_skips_head_sentinel<BundleSkipListSet>();
+}
+
+TEST(RqEntryPolicy, CitrusRangeQueryAtReadsPastSnapshotSorted) {
+  BundleCitrusSet tree;
+  for (KeyT k : {50, 20, 80, 10, 30, 60, 90}) tree.insert(0, k, k);
+  const timestamp_t ts = tree.rq_tracker().begin(1, tree.global_timestamp());
+  tree.insert(0, 25, 25);
+  tree.insert(0, 55, 55);
+  tree.remove(0, 20);
+  tree.remove(0, 50);  // two children: a copy of 55 replaces it
+  tree.remove(0, 90);
+  // range_query_at appends: the prefix stays, only the suffix is sorted.
+  Items out{{1000, 0}};
+  EXPECT_EQ(tree.range_query_at(1, ts, 15, 85, out), 5u);
+  EXPECT_EQ(out, (Items{{1000, 0}, {20, 20}, {30, 30}, {50, 50}, {60, 60},
+                        {80, 80}}));
+  tree.rq_tracker().end(1);
+  EXPECT_TRUE(tree.check_invariants());
 }
 
 }  // namespace

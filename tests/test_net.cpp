@@ -289,7 +289,7 @@ TEST(Server, OversizedFrameClosesConnectionNotLoop) {
   bad.write_all(raw.data(), raw.size());
   Reply r = bad.read_reply(Op::kGet);
   EXPECT_EQ(r.status, Status::kErrTooLarge);
-  EXPECT_THROW(bad.read_reply(Op::kPing), ClientError);  // server closed
+  EXPECT_THROW(bad.read_reply(Op::kPing), NetError);  // server closed
   // The same worker keeps serving the witness and fresh connections.
   EXPECT_TRUE(witness.ping());
   EXPECT_EQ(witness.get(5).value_or(-1), 55);

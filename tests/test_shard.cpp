@@ -687,15 +687,14 @@ TEST(Maintenance, LimboStaysBoundedWithoutCallerCooperation) {
   EXPECT_TRUE(s.check_invariants());
 }
 
-TEST(Maintenance, PooledTidModeComposesWithPooledSessions) {
+TEST(Maintenance, RegistryTidsComposeWithPooledSessions) {
   // Application deployment shape: workload threads AND maintenance workers
-  // all draw ids from the global registry (no pinned ids anywhere).
+  // all draw ids from the global registry (no pinned ids anywhere) — the
+  // workers' tracked top-of-range ids can never collide with pooled ones.
   Set s = Set::create("Sharded-Bundle-skiplist", SetOptions{.reclaim = true});
   auto& sharded = dynamic_cast<ShardedSet&>(s.impl());
-  MaintenanceService svc(sharded,
-                         MaintenanceOptions{
-                             .interval = std::chrono::milliseconds(1),
-                             .pooled_tids = true});
+  MaintenanceService svc(
+      sharded, MaintenanceOptions{.interval = std::chrono::milliseconds(1)});
   svc.start();
   testutil::run_pooled(s.impl(), 4, [&](ThreadSession& sess) {
     Xoshiro256 rng(7 + sess.tid());
