@@ -137,7 +137,7 @@ struct SlowTrace {
 };
 
 /// Tools-grade field scrapers over the TRACE_GET JSON record. The record
-/// shape is ours (Server::trace_record_json), so a find() is honest.
+/// shape is ours (net::trace_record_json), so a find() is honest.
 uint64_t json_u64(const std::string& j, const std::string& key, size_t from) {
   const size_t p = j.find("\"" + key + "\": ", from);
   if (p == std::string::npos) return 0;

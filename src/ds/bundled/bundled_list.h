@@ -134,17 +134,7 @@ class BundledList {
     *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       return walk(traverse(lo).first, ts, lo, hi, out);
     });
-    // Minimality (Section 4): within the range, the walk touches exactly
-    // the snapshot's nodes, never multiple versions, and appends each one.
-    *rq_in_range_visits_[tid] = out.size();
     return out.size();
-  }
-
-  /// Nodes the calling thread's last completed range query visited inside
-  /// [lo, hi]; equals the result size by the minimality property (tested in
-  /// tests/test_properties.cpp).
-  uint64_t last_rq_in_range_visits(int tid) const {
-    return *rq_in_range_visits_[tid];
   }
 
   /// Snapshot timestamp the calling thread's last completed range query
@@ -182,19 +172,18 @@ class BundledList {
   /// the caller was pinned, so the walk cannot touch freed memory (the
   /// single-structure range_query gets both orderings by pinning and
   /// announcing before it reads the clock). Unlike range_query there is
-  /// no newer timestamp to restart to: if the optimistic pre-seek lands
-  /// on a pred inserted after ts, we re-enter through the head sentinel's
-  /// bundle (whose timestamp-0 entry always satisfies an announced ts)
-  /// instead.
+  /// no newer timestamp to restart to: if the walk from the optimistic
+  /// pre-seek fails (the pred was inserted after ts), we re-enter through
+  /// the head sentinel's bundle (whose timestamp-0 entry always satisfies
+  /// an announced ts) instead.
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
     if (lo > hi) return 0;
     const size_t base = out.size();
     RqTracker::collect_at([&] {
-      Node* pred = traverse(lo).first;
-      return walk(pred->bundle.dereference(ts).found ? pred : head_, ts, lo,
-                  hi, out);
+      return walk(traverse(lo).first, ts, lo, hi, out) ||
+             walk(head_, ts, lo, hi, out);
     });
     return out.size() - base;
   }
@@ -309,7 +298,6 @@ class BundledList {
   const bool reclaim_;
   Node* head_;
   Node* tail_;
-  CachePadded<uint64_t> rq_in_range_visits_[kMaxThreads] = {};
   CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 

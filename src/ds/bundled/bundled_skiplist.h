@@ -261,16 +261,7 @@ class BundledSkipList {
       find(lo, preds, succs);
       return walk(preds[0], ts, lo, hi, out);
     });
-    // Minimality (Sections 4-5): within the range, the walk touches
-    // exactly the snapshot's nodes and appends each one.
-    *rq_in_range_visits_[tid] = out.size();
     return out.size();
-  }
-
-  /// Nodes the calling thread's last completed range query visited inside
-  /// [lo, hi]; equals the result size by the minimality property.
-  uint64_t last_rq_in_range_visits(int tid) const {
-    return *rq_in_range_visits_[tid];
   }
 
   /// Snapshot timestamp the calling thread's last completed range query
@@ -302,9 +293,9 @@ class BundledSkipList {
   /// bundled_list.h for the full caller contract: tracker announce AND,
   /// when reclaiming, an EBR pin, both established before `ts` was read).
   /// Index layers route to the data-layer node preceding the range as
-  /// usual; if that node postdates ts, re-enter through the head
-  /// sentinel's bundle rather than restarting at a newer timestamp (there
-  /// is none to take).
+  /// usual; if the walk from that node fails (it postdates ts), re-enter
+  /// through the head sentinel's bundle rather than restarting at a newer
+  /// timestamp (there is none to take).
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
@@ -313,10 +304,8 @@ class BundledSkipList {
     Node* succs[kMaxHeight];
     const size_t base = out.size();
     RqTracker::collect_at([&] {
-      find(lo, preds, succs);
-      Node* pred = preds[0];  // data-layer node with key < lo
-      return walk(pred->bundle.dereference(ts).found ? pred : head_, ts, lo,
-                  hi, out);
+      find(lo, preds, succs);  // preds[0]: data-layer node with key < lo
+      return walk(preds[0], ts, lo, hi, out) || walk(head_, ts, lo, hi, out);
     });
     return out.size() - base;
   }
@@ -484,7 +473,6 @@ class BundledSkipList {
   Node* head_;
   Node* tail_;
   mutable CachePadded<Xoshiro256> rngs_[kMaxThreads];
-  CachePadded<uint64_t> rq_in_range_visits_[kMaxThreads] = {};
   CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 

@@ -17,19 +17,17 @@
 //     retry-after hint instead of executed — shedding keeps the p99 of
 //     *accepted* ops flat while excess load is pushed back to clients.
 //
-//   * Timeouts. A TimerWheel drives idle-connection reaping and
-//     write-stall deadlines; per-connection pending-write caps disconnect
-//     unrecoverably slow readers before they OOM the server.
+//   * Timeouts. Each worker sweeps its connections at most every
+//     kSweepMs, reaping the idle and the write-stalled; per-connection
+//     pending-write caps disconnect unrecoverably slow readers before
+//     they OOM the server.
 //
-// This header owns the policy types, the wheel and the guard metric
-// series; server.h wires them into the worker loops, and its chunked
-// scans collect a ShardedSet::Snapshot.
+// This header owns the policy types; server.h wires them into the worker
+// loops, and its chunked scans collect a ShardedSet::Snapshot.
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "obs/metrics.h"
 
 namespace bref::net {
 
@@ -41,6 +39,10 @@ inline uint64_t steady_ms() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Interval of a worker's idle/write-stall sweep (and its longest
+/// epoll_wait): deadlines fire up to this late.
+inline constexpr int kSweepMs = 100;
 
 struct GuardOptions {
   /// A RANGE spanning more than this many keys runs as a cooperative
@@ -96,115 +98,5 @@ struct WaveBudget {
     if (bytes_limited) bytes = n >= bytes ? 0 : bytes - n;
   }
 };
-
-/// A hashed timer wheel for connection deadlines (idle reaping, write
-/// stalls). Entries are (fd, generation, kind); the generation lets the
-/// owner ignore stale timers after an fd is closed and reused. Firing is
-/// *lazy revalidation*: the wheel only says "this deadline elapsed" —
-/// the callback re-checks real activity and re-arms when the connection
-/// was merely slow, so one schedule per state transition suffices.
-/// Single-threaded (one wheel per worker loop). Resolution is
-/// `granularity_ms` plus however long the loop's epoll_wait slept.
-class TimerWheel {
- public:
-  enum class Kind : uint8_t { kIdle, kWriteStall };
-
-  explicit TimerWheel(uint32_t granularity_ms = 100, size_t slots = 128)
-      : granularity_(granularity_ms == 0 ? 1 : granularity_ms),
-        buckets_(slots == 0 ? 1 : slots) {}
-
-  void schedule(uint64_t now_ms, uint64_t delay_ms, int fd, uint32_t gen,
-                Kind kind) {
-    if (cursor_ == 0) cursor_ = now_ms / granularity_;  // anchor lazily
-    uint64_t tick = (now_ms + delay_ms) / granularity_ + 1;
-    if (tick <= cursor_) tick = cursor_ + 1;
-    buckets_[tick % buckets_.size()].push_back(
-        {now_ms + delay_ms, fd, gen, kind});
-    ++size_;
-  }
-
-  /// Fire every entry whose deadline elapsed: fire(fd, gen, kind).
-  /// Entries further than one revolution out are re-bucketed, not fired.
-  template <typename Fn>
-  void advance(uint64_t now_ms, Fn&& fire) {
-    const uint64_t target = now_ms / granularity_;
-    if (cursor_ == 0 || size_ == 0 || target <= cursor_) {
-      if (cursor_ < target) cursor_ = target;
-      return;
-    }
-    uint64_t steps = target - cursor_;
-    if (steps > buckets_.size()) steps = buckets_.size();
-    for (uint64_t s = 0; s < steps; ++s) {
-      ++cursor_;
-      auto& b = buckets_[cursor_ % buckets_.size()];
-      if (b.empty()) continue;
-      scratch_.swap(b);
-      for (const Entry& e : scratch_) {
-        --size_;
-        if (e.due_ms > now_ms)  // lapped or early bucket: not due yet
-          schedule(now_ms, e.due_ms - now_ms, e.fd, e.gen, e.kind);
-        else
-          fire(e.fd, e.gen, e.kind);
-      }
-      scratch_.clear();
-    }
-    cursor_ = target;  // every bucket was visited at most once; jump
-  }
-
-  size_t size() const noexcept { return size_; }
-
- private:
-  struct Entry {
-    uint64_t due_ms;
-    int fd;
-    uint32_t gen;
-    Kind kind;
-  };
-
-  const uint64_t granularity_;
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> scratch_;
-  uint64_t cursor_ = 0;  // last processed tick; 0 = not yet anchored
-  size_t size_ = 0;
-};
-
-/// Guard-layer series aggregated over live Server instances (same RAII
-/// pattern as server_series in server.h). Index order matches
-/// Server::register_obs().
-inline obs::GaugeSet& guard_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](GS::Agg a, const char* n, const char* h, const char* l,
-                   MK k) { u->push_back(new GS(a, n, h, l, k)); };
-    add(GS::Agg::kSum, "bref_net_shed_total",
-        "Request frames answered kErrOverloaded by admission control", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_chunked_total",
-        "RANGE queries executed as cooperative chunked scans", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_scan_slices_total",
-        "Chunk slices executed across all chunked scans", "", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"idle\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"write_stall\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_reaped_total",
-        "Connections closed by the guard layer", "reason=\"slow_reader\"",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_stop_dropped_total",
-        "Connections closed at stop() with undelivered response bytes", "",
-        MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_overloaded",
-        "Worker loops currently shedding (admission budget exhausted)", "",
-        MK::kGauge);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kGuardSeries = 8;
 
 }  // namespace bref::net

@@ -28,13 +28,19 @@
 //     transaction are never interleaved with other ops *on this worker*,
 //     but there is no cross-worker isolation — documented in PROTOCOL.md.
 //
+//   * Dispatch (net/dispatch.h): each admitted frame is decoded and run
+//     against the set by dispatch(), which touches no file descriptor;
+//     this file owns only the sockets around it.
+//
 //   * Guard layer (net/guard.h): long RANGEs run as cooperative chunked
 //     scans under a second, scan-dedicated session per worker (one
 //     timestamp, bounded key-budget slices behind each wave); per-wave
 //     admission budgets shed excess frames with kErrOverloaded +
-//     retry-after; a timer wheel reaps idle connections and write
-//     stalls; pending-write caps disconnect unrecoverably slow readers.
-//     Policy in ServerOptions::guard, counters in ServerStats/obs.
+//     retry-after; a sweep over the worker's connections, at most every
+//     kSweepMs, reaps idle connections and write stalls; pending-write
+//     caps disconnect unrecoverably slow readers. Policy in
+//     ServerOptions::guard; counters in ServerStats, exported to STATS
+//     and METRICS through one table (Server::kCounters).
 //
 // Lifecycle: construct -> start() -> stop() (idempotent; the destructor
 // stops). start() spawns the MaintenanceService for the backing set;
@@ -67,10 +73,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -80,6 +88,7 @@
 #include "api/session.h"
 #include "api/set_interface.h"
 #include "common/cacheline.h"
+#include "net/dispatch.h"
 #include "net/guard.h"
 #include "net/protocol.h"
 #include "net/testing/faultfd.h"
@@ -90,25 +99,6 @@
 #include "shard/sharded_set.h"
 
 namespace bref::net {
-
-inline const char* op_name(uint8_t op) {
-  switch (static_cast<Op>(op)) {
-    case Op::kGet: return "get";
-    case Op::kInsert: return "insert";
-    case Op::kRemove: return "remove";
-    case Op::kRange: return "range";
-    case Op::kTxnBegin: return "txn_begin";
-    case Op::kTxnOp: return "txn_op";
-    case Op::kTxnCommit: return "txn_commit";
-    case Op::kTxnAbort: return "txn_abort";
-    case Op::kPing: return "ping";
-    case Op::kStats: return "stats";
-    case Op::kMetrics: return "metrics";
-    case Op::kTraceDump: return "trace_dump";
-    case Op::kTraceGet: return "trace_get";
-  }
-  return "unknown";
-}
 
 /// Steady-clock nanoseconds for stage attribution; constant-folds to 0
 /// when obs is compiled out, which dead-codes every duration math below.
@@ -157,72 +147,6 @@ inline obs::Histogram& op_hist(Op op) {
   }
 }
 
-/// Server-level series aggregated over live Server instances (servers are
-/// created and destroyed per bench scenario; RAII sources keep the
-/// exposition honest). Index order matches Server::register_obs().
-inline obs::GaugeSet& server_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](GS::Agg a, const char* n, const char* h, MK k) {
-      u->push_back(new GS(a, n, h, "", k));
-    };
-    add(GS::Agg::kSum, "bref_net_connections",
-        "Connections currently adopted by worker loops", MK::kGauge);
-    add(GS::Agg::kMax, "bref_net_connections_peak",
-        "High-water mark of adopted connections (max over live servers)",
-        MK::kGauge);
-    add(GS::Agg::kSum, "bref_net_accepted_total",
-        "Connections accepted", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_frames_total",
-        "Request frames executed", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_batches_total",
-        "Epoll waves that executed at least one frame", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_bytes_in_total",
-        "Request bytes read", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_bytes_out_total",
-        "Response bytes written", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_protocol_errors_total",
-        "Error responses sent", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_txns_committed_total",
-        "Wire transactions committed", MK::kCounter);
-    add(GS::Agg::kSum, "bref_net_txns_aborted_total",
-        "Wire transactions aborted", MK::kCounter);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kServerSeries = 10;
-
-/// bref-trace series, aggregated over live servers like server_series().
-/// Index order matches Server::register_obs().
-inline obs::GaugeSet& trace_series(size_t i) {
-  using GS = obs::GaugeSet;
-  using MK = obs::MetricKind;
-  static auto* v = [] {
-    auto* u = new std::vector<GS*>();
-    auto add = [&](const char* n, const char* h, MK k) {
-      u->push_back(new GS(GS::Agg::kSum, n, h, "", k));
-    };
-    add("bref_trace_committed_total",
-        "Request traces committed to the per-worker rings (tail threshold "
-        "or reservoir)", MK::kCounter);
-    add("bref_trace_dropped_total",
-        "Committed trace records overwritten by ring-window churn",
-        MK::kCounter);
-    add("bref_trace_scratch_exhausted_total",
-        "Requests not traced because the worker's scratch-slot pool was full",
-        MK::kCounter);
-    add("bref_trace_scratch_in_use",
-        "Trace scratch slots currently held (live chunked scans when idle)",
-        MK::kGauge);
-    return u;
-  }();
-  return *(*v)[i];
-}
-inline constexpr size_t kTraceSeries = 4;
-
 struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port()).
   uint16_t port = 0;
@@ -251,7 +175,6 @@ struct ServerOptions {
 /// Monotonic server-wide counters (relaxed; exact once quiescent).
 struct ServerStats {
   uint64_t accepted = 0;
-  uint64_t closed = 0;
   uint64_t frames = 0;          // requests executed
   uint64_t batches = 0;         // epoll waves that executed >= 1 frame
   uint64_t bytes_in = 0;
@@ -275,6 +198,20 @@ struct ServerStats {
   uint64_t trace_dropped = 0;            // ring-window evictions
   uint64_t trace_scratch_exhausted = 0;  // requests untraced: pool full
   uint64_t trace_scratch_in_use = 0;     // slots held right now (gauge)
+};
+
+/// One exported counter: the ServerStats member it fills, its key in the
+/// STATS document and its METRICS series (Server::kCounters).
+struct ServerCounter {
+  uint64_t ServerStats::*field;
+  const char* section;  // STATS object holding `key` ("" = top level)
+  const char* key;
+  const char* metric;
+  const char* labels;
+  obs::MetricKind kind;
+  const char* help;
+  // Across live servers; within one server, workers always sum.
+  obs::GaugeSet::Agg agg = obs::GaugeSet::Agg::kSum;
 };
 
 class Server {
@@ -364,7 +301,10 @@ class Server {
     // callbacks iterate it without the lifecycle lock (see the stats()
     // NOTE below), so registration brackets exactly the stable window —
     // stop() removes them before mutating the vector.
-    register_obs();
+    for (size_t i = 0; i < std::size(kCounters); ++i)
+      obs_srcs_[i] = series(i).add([this, f = kCounters[i].field] {
+        return static_cast<double>(stats().*f);
+      });
     for (size_t i = 0; i < workers_.size(); ++i) {
       Worker* wp = workers_[i].get();
       wp->index = static_cast<uint8_t>(i);
@@ -383,8 +323,6 @@ class Server {
     // Unregister the obs sources first: removal blocks on in-flight
     // snapshot reads, so no callback can observe workers_ mid-teardown.
     for (auto& s : obs_srcs_) s.reset();
-    for (auto& s : obs_guard_srcs_) s.reset();
-    for (auto& s : obs_trace_srcs_) s.reset();
     stop_.store(true, std::memory_order_release);
     // Closing the listener wakes the acceptor's epoll_wait with EPOLLHUP
     // semantics; the eventfd write is belt and braces.
@@ -418,109 +356,47 @@ class Server {
   ServerStats stats() const {
     ServerStats s;
     s.accepted = accepted_.load(std::memory_order_relaxed);
-    s.closed = closed_.load(std::memory_order_relaxed);
-    for (const auto& w : workers_) {
-      s.frames += w->frames.load(std::memory_order_relaxed);
-      s.batches += w->batches.load(std::memory_order_relaxed);
-      s.bytes_in += w->bytes_in.load(std::memory_order_relaxed);
-      s.bytes_out += w->bytes_out.load(std::memory_order_relaxed);
-      s.protocol_errors += w->protocol_errors.load(std::memory_order_relaxed);
-      s.txns_committed += w->txns_committed.load(std::memory_order_relaxed);
-      s.txns_aborted += w->txns_aborted.load(std::memory_order_relaxed);
-      s.connections += w->nconns.load(std::memory_order_relaxed);
-      s.connections_peak += w->peak_conns.load(std::memory_order_relaxed);
-      s.shed += w->shed.load(std::memory_order_relaxed);
-      s.chunked_rqs += w->chunked.load(std::memory_order_relaxed);
-      s.scan_slices += w->scan_slices.load(std::memory_order_relaxed);
-      s.reaped_idle += w->reaped_idle.load(std::memory_order_relaxed);
-      s.reaped_write_stall +=
-          w->reaped_stall.load(std::memory_order_relaxed);
-      s.reaped_slow_reader += w->reaped_slow.load(std::memory_order_relaxed);
-      s.overloaded += w->overloaded.load(std::memory_order_relaxed) ? 1 : 0;
-      s.trace_committed += w->trace.committed();
-      s.trace_dropped += w->trace.dropped();
-      s.trace_scratch_exhausted +=
-          w->trace_scratch_exhausted.load(std::memory_order_relaxed);
-      s.trace_scratch_in_use += static_cast<uint64_t>(w->tslots.in_use());
-    }
     // Server-level (not per-worker) so it stays readable after stop()
     // tears the workers down — it is precisely a shutdown statistic.
     s.stop_dropped = stop_dropped_.load(std::memory_order_relaxed);
+    for (const auto& w : workers_) {
+      // A worker never writes the cells of the five fields set apart here.
+      for (size_t i = 0; i < std::size(kCounters); ++i)
+        s.*kCounters[i].field += w->counts[i].load(std::memory_order_relaxed);
+      s.trace_committed += w->trace.committed();
+      s.trace_dropped += w->trace.dropped();
+      s.trace_scratch_in_use += static_cast<uint64_t>(w->tslots.in_use());
+    }
     return s;
   }
 
-  /// Live connection count (approximate under churn).
-  size_t connections() const {
-    size_t n = 0;
-    for (const auto& w : workers_)
-      n += w->nconns.load(std::memory_order_relaxed);
-    return n;
-  }
-
-  /// Sum of per-worker adoption high-waters. An upper bound on the true
-  /// concurrent peak (workers peak independently), and — unlike the live
-  /// gauge — nonzero in any post-run stats capture, which is what made
-  /// BENCH_6's "connections: 0" unanswerable.
-  size_t peak_connections() const {
-    size_t n = 0;
-    for (const auto& w : workers_)
-      n += w->peak_conns.load(std::memory_order_relaxed);
-    return n;
-  }
-
-  /// The STATS response body: server counters, routing counters,
-  /// per-shard maintenance stats when the service runs.
+  /// The STATS response body: server counters (kCounters, by section),
+  /// routing counters, per-shard maintenance stats when the service runs.
   std::string stats_json() const {
     const ServerStats s = stats();
     char buf[512];
-    std::string out = "{";
-    std::snprintf(buf, sizeof buf,
-                  "\"impl\": \"%s\", \"shards\": %zu, \"workers\": %zu, "
-                  "\"connections\": %zu, \"connections_peak\": %zu, "
-                  "\"accepted\": %llu, "
-                  "\"frames\": %llu, \"batches\": %llu, "
-                  "\"frames_per_batch\": %.2f, \"bytes_in\": %llu, "
-                  "\"bytes_out\": %llu, \"protocol_errors\": %llu, "
-                  "\"txns_committed\": %llu, \"txns_aborted\": %llu",
-                  opt_.impl.c_str(), set_->num_shards(),
-                  workers_.size(), connections(), peak_connections(),
-                  static_cast<unsigned long long>(s.accepted),
-                  static_cast<unsigned long long>(s.frames),
-                  static_cast<unsigned long long>(s.batches),
-                  s.batches ? static_cast<double>(s.frames) / s.batches : 0.0,
-                  static_cast<unsigned long long>(s.bytes_in),
-                  static_cast<unsigned long long>(s.bytes_out),
-                  static_cast<unsigned long long>(s.protocol_errors),
-                  static_cast<unsigned long long>(s.txns_committed),
-                  static_cast<unsigned long long>(s.txns_aborted));
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  ", \"guard\": {\"shed\": %llu, \"chunked_rqs\": %llu, "
-                  "\"scan_slices\": %llu, \"reaped_idle\": %llu, "
-                  "\"reaped_write_stall\": %llu, "
-                  "\"reaped_slow_reader\": %llu, \"stop_dropped\": %llu, "
-                  "\"overloaded\": %llu}",
-                  static_cast<unsigned long long>(s.shed),
-                  static_cast<unsigned long long>(s.chunked_rqs),
-                  static_cast<unsigned long long>(s.scan_slices),
-                  static_cast<unsigned long long>(s.reaped_idle),
-                  static_cast<unsigned long long>(s.reaped_write_stall),
-                  static_cast<unsigned long long>(s.reaped_slow_reader),
-                  static_cast<unsigned long long>(s.stop_dropped),
-                  static_cast<unsigned long long>(s.overloaded));
-    out += buf;
-    // Trace-slot accounting: the chaos suite asserts scratch_in_use
-    // returns to the number of live chunked scans (0 when idle) after
-    // fault storms and shed bursts — a leaked slot means some request
-    // path forgot its terminal span.
-    std::snprintf(buf, sizeof buf,
-                  ", \"trace\": {\"committed\": %llu, \"dropped\": %llu, "
-                  "\"scratch_exhausted\": %llu, \"scratch_in_use\": %llu}",
-                  static_cast<unsigned long long>(s.trace_committed),
-                  static_cast<unsigned long long>(s.trace_dropped),
-                  static_cast<unsigned long long>(s.trace_scratch_exhausted),
-                  static_cast<unsigned long long>(s.trace_scratch_in_use));
-    out += buf;
+    std::string out = "{\"impl\": \"" + opt_.impl + "\", \"shards\": " +
+                      std::to_string(set_->num_shards()) +
+                      ", \"workers\": " + std::to_string(workers_.size());
+    std::string_view section;  // "" = the top-level object
+    for (const ServerCounter& c : kCounters) {
+      if (section != c.section) {  // close the previous object, open this one
+        out += section.empty() ? ", \"" : "}, \"";
+        out += c.section;
+        out += "\": {";
+        section = c.section;
+      } else {
+        out += ", ";
+      }
+      out += std::string("\"") + c.key + "\": " + std::to_string(s.*c.field);
+      if (c.field == &ServerStats::batches) {  // derived, beside its inputs
+        std::snprintf(buf, sizeof buf, ", \"frames_per_batch\": %.2f",
+                      s.batches ? static_cast<double>(s.frames) / s.batches
+                                : 0.0);
+        out += buf;
+      }
+    }
+    if (!section.empty()) out += "}";
     const ShardedSetStats r = set_->stats();
     std::snprintf(buf, sizeof buf,
                   ", \"routing\": {\"single_shard_rqs\": %llu, "
@@ -554,31 +430,6 @@ class Server {
     // the METRICS exposition.
     out += ", \"obs\": " + obs::registry().json();
     return out + "}";
-  }
-
-  /// One committed record as JSON — the TRACE_GET body, and one element
-  /// of TRACE_DUMP's "records". Ids render as 16-hex (the exemplar form),
-  /// stages by name; tools/trace2chrome consumes this shape.
-  static std::string trace_record_json(const obs::TraceRecord& r) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "{\"trace_id\": \"%016llx\", \"op\": \"%s\", "
-                  "\"worker\": %u, \"start_ns\": %llu, \"total_ns\": %llu, "
-                  "\"flags\": %u, \"spans\": [",
-                  static_cast<unsigned long long>(r.trace_id), op_name(r.op),
-                  r.worker, static_cast<unsigned long long>(r.start_ns),
-                  static_cast<unsigned long long>(r.total_ns), r.flags);
-    std::string out = buf;
-    for (int i = 0; i < r.nspans; ++i) {
-      const obs::TraceStageSpan& s = r.spans[i];
-      std::snprintf(buf, sizeof buf,
-                    "%s{\"stage\": \"%s\", \"start_ns\": %u, \"dur_ns\": %u, "
-                    "\"aux8\": %u, \"aux16\": %u}",
-                    i > 0 ? ", " : "", obs::trace_stage_name(s.stage),
-                    s.start_ns, s.dur_ns, s.aux8, s.aux16);
-      out += buf;
-    }
-    return out + "]}";
   }
 
   /// The TRACE_DUMP response body: every worker's committed records —
@@ -629,13 +480,123 @@ class Server {
     return false;
   }
 
+  // The server is dispatch()'s host (net/dispatch.h): stats_json(),
+  // trace_dump_json() and find_trace() above, and these two.
+
+  /// True when [lo, hi] should run as a chunked scan: chunking enabled,
+  /// a coordinated snapshot path exists, and the interval spans more
+  /// keys than one slice covers.
+  bool chunkable(KeyT lo, KeyT hi) const {
+    const size_t chunk = opt_.guard.scan_chunk_keys;
+    if (chunk == 0 || lo > hi) return false;
+    if (!set_->coordinated()) return false;
+    const uint64_t width_minus_1 =
+        ((static_cast<uint64_t>(hi) ^ (uint64_t{1} << 63)) -
+         (static_cast<uint64_t>(lo) ^ (uint64_t{1} << 63)));
+    return width_minus_1 >= chunk;
+  }
+
+  size_t max_txn_ops() const { return opt_.max_txn_ops; }
+
  private:
-  // -- per-connection state (owned by exactly one worker) ------------------
-  struct BufferedOp {
-    Op op;
-    KeyT key;
-    ValT val;
+  using MK = obs::MetricKind;
+
+  /// Every exported counter. stats(), STATS and the METRICS sources all
+  /// read this table, in this order.
+  static constexpr ServerCounter kCounters[] = {
+      {&ServerStats::connections, "", "connections", "bref_net_connections",
+       "", MK::kGauge, "Connections currently adopted by worker loops"},
+      // Sum of per-worker adoption high-waters: an upper bound on the true
+      // concurrent peak, and nonzero in any post-run stats capture.
+      {&ServerStats::connections_peak, "", "connections_peak",
+       "bref_net_connections_peak", "", MK::kGauge,
+       "High-water mark of adopted connections (max over live servers)",
+       obs::GaugeSet::Agg::kMax},
+      {&ServerStats::accepted, "", "accepted", "bref_net_accepted_total", "",
+       MK::kCounter, "Connections accepted"},
+      {&ServerStats::frames, "", "frames", "bref_net_frames_total", "",
+       MK::kCounter, "Request frames executed"},
+      {&ServerStats::batches, "", "batches", "bref_net_batches_total", "",
+       MK::kCounter, "Epoll waves that executed at least one frame"},
+      {&ServerStats::bytes_in, "", "bytes_in", "bref_net_bytes_in_total", "",
+       MK::kCounter, "Request bytes read"},
+      {&ServerStats::bytes_out, "", "bytes_out", "bref_net_bytes_out_total",
+       "", MK::kCounter, "Response bytes written"},
+      {&ServerStats::protocol_errors, "", "protocol_errors",
+       "bref_net_protocol_errors_total", "", MK::kCounter,
+       "Error responses sent"},
+      {&ServerStats::txns_committed, "", "txns_committed",
+       "bref_net_txns_committed_total", "", MK::kCounter,
+       "Wire transactions committed"},
+      {&ServerStats::txns_aborted, "", "txns_aborted",
+       "bref_net_txns_aborted_total", "", MK::kCounter,
+       "Wire transactions aborted"},
+      {&ServerStats::shed, "guard", "shed", "bref_net_shed_total", "",
+       MK::kCounter,
+       "Request frames answered kErrOverloaded by admission control"},
+      {&ServerStats::chunked_rqs, "guard", "chunked_rqs",
+       "bref_net_chunked_total", "", MK::kCounter,
+       "RANGE queries executed as cooperative chunked scans"},
+      {&ServerStats::scan_slices, "guard", "scan_slices",
+       "bref_net_scan_slices_total", "", MK::kCounter,
+       "Chunk slices executed across all chunked scans"},
+      {&ServerStats::reaped_idle, "guard", "reaped_idle",
+       "bref_net_reaped_total", "reason=\"idle\"", MK::kCounter,
+       "Connections closed by the guard layer"},
+      {&ServerStats::reaped_write_stall, "guard", "reaped_write_stall",
+       "bref_net_reaped_total", "reason=\"write_stall\"", MK::kCounter,
+       "Connections closed by the guard layer"},
+      {&ServerStats::reaped_slow_reader, "guard", "reaped_slow_reader",
+       "bref_net_reaped_total", "reason=\"slow_reader\"", MK::kCounter,
+       "Connections closed by the guard layer"},
+      {&ServerStats::stop_dropped, "guard", "stop_dropped",
+       "bref_net_stop_dropped_total", "", MK::kCounter,
+       "Connections closed at stop() with undelivered response bytes"},
+      {&ServerStats::overloaded, "guard", "overloaded", "bref_net_overloaded",
+       "", MK::kGauge,
+       "Worker loops currently shedding (admission budget exhausted)"},
+      {&ServerStats::trace_committed, "trace", "committed",
+       "bref_trace_committed_total", "", MK::kCounter,
+       "Request traces committed to the per-worker rings (tail threshold "
+       "or reservoir)"},
+      {&ServerStats::trace_dropped, "trace", "dropped",
+       "bref_trace_dropped_total", "", MK::kCounter,
+       "Committed trace records overwritten by ring-window churn"},
+      {&ServerStats::trace_scratch_exhausted, "trace", "scratch_exhausted",
+       "bref_trace_scratch_exhausted_total", "", MK::kCounter,
+       "Requests not traced because the worker's scratch-slot pool was full"},
+      // The chaos suite asserts this returns to the number of live chunked
+      // scans (0 when idle): a leaked slot means some request path forgot
+      // its terminal span.
+      {&ServerStats::trace_scratch_in_use, "trace", "scratch_in_use",
+       "bref_trace_scratch_in_use", "", MK::kGauge,
+       "Trace scratch slots currently held (live chunked scans when idle)"},
   };
+
+  /// kCounters' row for the ServerStats member F, found at compile time
+  /// (a member missing from the table fails to compile).
+  template <uint64_t ServerStats::*F>
+  static consteval size_t row() {
+    for (size_t i = 0; i < std::size(kCounters); ++i)
+      if (kCounters[i].field == F) return i;
+    throw "not a kCounters field";
+  }
+
+  /// The METRICS series of kCounters[i], shared by every live server and,
+  /// like the registry they live in, never freed.
+  static obs::GaugeSet& series(size_t i) {
+    static obs::GaugeSet* const* sets = [] {
+      auto** v = new obs::GaugeSet*[std::size(kCounters)];
+      for (size_t j = 0; j < std::size(kCounters); ++j) {
+        const ServerCounter& c = kCounters[j];
+        v[j] = new obs::GaugeSet(c.agg, c.metric, c.help, c.labels, c.kind);
+      }
+      return v;
+    }();
+    return *sets[i];
+  }
+
+  // -- per-connection state (owned by exactly one worker) ------------------
   struct Conn {
     explicit Conn(int fd_) : fd(fd_) {}
     ~Conn() {
@@ -647,10 +608,8 @@ class Server {
     size_t pending_off = 0;
     bool epollout = false;         // EPOLLOUT currently armed
     bool closing = false;          // poisoned stream: close once flushed
-    bool in_txn = false;
-    std::vector<BufferedOp> txn;
+    TxnBuffer txn;
     // Guard state:
-    uint32_t gen = 0;              // timer-wheel validity token
     uint64_t last_activity_ms = 0; // last byte read (idle reaping)
     uint64_t pending_since_ms = 0; // pending became nonempty (0 = empty)
     bool paused = false;   // a chunked scan owns the connection's ordering
@@ -679,25 +638,23 @@ class Server {
     std::vector<int> inbox;
     // -- loop-private state (only the worker thread touches these) ------
     std::vector<std::unique_ptr<Conn>> conns;  // indexed by fd
-    TimerWheel wheel;        // idle + write-stall deadlines
-    uint32_t next_gen = 0;   // timer-wheel generation source
+    uint64_t swept_ms = 0;   // last idle/write-stall sweep
     std::optional<ShardedSet::Snapshot> scan;  // active chunked scan (<= 1)
     std::vector<std::pair<KeyT, ValT>> scan_items;  // its collected slices
     int scan_fd = -1;                    // its owning connection
     uint64_t scan_start_ns = 0;          // op_hist attribution
     std::vector<int> scan_waiters;       // conns queued for the scan slot
-    std::atomic<size_t> nconns{0};
-    // High-water of nconns; single-writer (the loop adopts), so a plain
-    // load/store bump suffices.
-    std::atomic<uint64_t> peak_conns{0};
-    // Written by the loop, read by any STATS caller: relaxed atomics.
-    std::atomic<uint64_t> frames{0}, batches{0}, bytes_in{0}, bytes_out{0};
-    std::atomic<uint64_t> protocol_errors{0}, txns_committed{0},
-        txns_aborted{0};
-    // Guard counters (net/guard.h semantics; aggregated by stats()).
-    std::atomic<uint64_t> shed{0}, chunked{0}, scan_slices{0};
-    std::atomic<uint64_t> reaped_idle{0}, reaped_stall{0}, reaped_slow{0};
-    std::atomic<bool> overloaded{false};  // last wave shed something
+    // One cell per kCounters row. Written by the loop, read by any STATS
+    // caller: relaxed atomics.
+    std::atomic<uint64_t> counts[std::size(kCounters)] = {};
+    template <uint64_t ServerStats::*F>
+    std::atomic<uint64_t>& cell() {
+      return counts[row<F>()];
+    }
+    template <uint64_t ServerStats::*F>
+    void add(uint64_t n = 1) {
+      cell<F>().fetch_add(n, std::memory_order_relaxed);
+    }
     // bref-trace (obs/trace.h): scratch slots for in-flight request
     // traces, the committed-record ring (recency window) and the slowest
     // board (all-time tail). The loop is the only writer; any worker
@@ -706,7 +663,6 @@ class Server {
     obs::TraceRing trace;
     obs::TraceBoard board;
     uint64_t trace_seq = 0;  // loop-private server-side trace-id source
-    std::atomic<uint64_t> trace_scratch_exhausted{0};
 
     ~Worker() {
       if (epoll_fd >= 0) ::close(epoll_fd);
@@ -718,99 +674,6 @@ class Server {
   [[noreturn]] static void throw_errno(const char* what) {
     throw std::runtime_error(std::string(what) + ": " +
                              std::strerror(errno));
-  }
-
-  /// Register this instance's callback sources (see start()/stop() for
-  /// the workers_-stability bracket). Indices follow server_series().
-  void register_obs() {
-    auto reg = [this](size_t i, double (Server::*read)() const) {
-      obs_srcs_[i] =
-          server_series(i).add([this, read] { return (this->*read)(); });
-    };
-    reg(0, &Server::obs_connections);
-    reg(1, &Server::obs_peak);
-    reg(2, &Server::obs_accepted);
-    reg(3, &Server::obs_frames);
-    reg(4, &Server::obs_batches);
-    reg(5, &Server::obs_bytes_in);
-    reg(6, &Server::obs_bytes_out);
-    reg(7, &Server::obs_protocol_errors);
-    reg(8, &Server::obs_txns_committed);
-    reg(9, &Server::obs_txns_aborted);
-    auto greg = [this](size_t i, double (Server::*read)() const) {
-      obs_guard_srcs_[i] =
-          guard_series(i).add([this, read] { return (this->*read)(); });
-    };
-    greg(0, &Server::obs_shed);
-    greg(1, &Server::obs_chunked);
-    greg(2, &Server::obs_scan_slices);
-    greg(3, &Server::obs_reaped_idle);
-    greg(4, &Server::obs_reaped_stall);
-    greg(5, &Server::obs_reaped_slow);
-    greg(6, &Server::obs_stop_dropped);
-    greg(7, &Server::obs_overloaded);
-    auto treg = [this](size_t i, double (Server::*read)() const) {
-      obs_trace_srcs_[i] =
-          trace_series(i).add([this, read] { return (this->*read)(); });
-    };
-    treg(0, &Server::obs_trace_committed);
-    treg(1, &Server::obs_trace_dropped);
-    treg(2, &Server::obs_trace_exhausted);
-    treg(3, &Server::obs_trace_in_use);
-  }
-  double obs_connections() const { return static_cast<double>(connections()); }
-  double obs_peak() const { return static_cast<double>(peak_connections()); }
-  double obs_accepted() const {
-    return static_cast<double>(accepted_.load(std::memory_order_relaxed));
-  }
-  double obs_frames() const { return static_cast<double>(stats().frames); }
-  double obs_batches() const { return static_cast<double>(stats().batches); }
-  double obs_bytes_in() const { return static_cast<double>(stats().bytes_in); }
-  double obs_bytes_out() const {
-    return static_cast<double>(stats().bytes_out);
-  }
-  double obs_protocol_errors() const {
-    return static_cast<double>(stats().protocol_errors);
-  }
-  double obs_txns_committed() const {
-    return static_cast<double>(stats().txns_committed);
-  }
-  double obs_txns_aborted() const {
-    return static_cast<double>(stats().txns_aborted);
-  }
-  double obs_shed() const { return static_cast<double>(stats().shed); }
-  double obs_chunked() const {
-    return static_cast<double>(stats().chunked_rqs);
-  }
-  double obs_scan_slices() const {
-    return static_cast<double>(stats().scan_slices);
-  }
-  double obs_reaped_idle() const {
-    return static_cast<double>(stats().reaped_idle);
-  }
-  double obs_reaped_stall() const {
-    return static_cast<double>(stats().reaped_write_stall);
-  }
-  double obs_reaped_slow() const {
-    return static_cast<double>(stats().reaped_slow_reader);
-  }
-  double obs_stop_dropped() const {
-    return static_cast<double>(stats().stop_dropped);
-  }
-  double obs_overloaded() const {
-    return static_cast<double>(stats().overloaded);
-  }
-  double obs_trace_committed() const {
-    return static_cast<double>(stats().trace_committed);
-  }
-  double obs_trace_dropped() const {
-    return static_cast<double>(stats().trace_dropped);
-  }
-  double obs_trace_exhausted() const {
-    return static_cast<double>(stats().trace_scratch_exhausted);
-  }
-  double obs_trace_in_use() const {
-    return static_cast<double>(stats().trace_scratch_in_use);
   }
 
   static void wake(Worker& w) {
@@ -857,9 +720,9 @@ class Server {
 
     for (;;) {
       // A live (or queued) chunked scan wants the loop back immediately
-      // after servicing what's ready; otherwise sleep one timer-wheel
-      // granularity so deadlines fire near their time.
-      const int timeout = w.scan || !w.scan_waiters.empty() ? 0 : 100;
+      // after servicing what's ready; otherwise sleep one sweep interval
+      // so connection deadlines fire near their time.
+      const int timeout = w.scan || !w.scan_waiters.empty() ? 0 : kSweepMs;
       const int n = ::epoll_wait(w.epoll_fd, events.data(),
                                  static_cast<int>(events.size()), timeout);
       // Queue-wait attribution starts here: everything a request waits
@@ -875,12 +738,10 @@ class Server {
           fresh.swap(w.inbox);
         }
         for (int fd : fresh) {
-          if (stopping) {
+          if (stopping)
             ::close(fd);
-            closed_.fetch_add(1, std::memory_order_relaxed);
-          } else {
+          else
             adopt_conn(w, fd, now_ms);
-          }
         }
       }
       // Admission control: one budget per wave, shared by every
@@ -920,10 +781,11 @@ class Server {
         return;
       }
       // Behind the wave: one slice of the active chunked scan, then the
-      // wheel's connection deadlines.
+      // connection deadlines.
       pump_scan(w, tid, scratch, rq_out, wake_ns, &budget);
-      advance_timers(w, steady_ms());
-      w.overloaded.store(budget.exhausted, std::memory_order_relaxed);
+      sweep(w, steady_ms());
+      w.cell<&ServerStats::overloaded>().store(budget.exhausted,
+                                               std::memory_order_relaxed);
     }
   }
 
@@ -932,18 +794,17 @@ class Server {
       w.conns.resize(static_cast<size_t>(fd) + 1);
     auto& c = w.conns[static_cast<size_t>(fd)];
     c = std::make_unique<Conn>(fd);
-    c->gen = ++w.next_gen;
     c->last_activity_ms = now_ms;
-    if (opt_.guard.idle_timeout_ms > 0)
-      w.wheel.schedule(now_ms, opt_.guard.idle_timeout_ms, fd, c->gen,
-                       TimerWheel::Kind::kIdle);
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLET | EPOLLRDHUP;
     ev.data.fd = fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    const size_t nc = w.nconns.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (nc > w.peak_conns.load(std::memory_order_relaxed))
-      w.peak_conns.store(nc, std::memory_order_relaxed);
+    auto& live = w.cell<&ServerStats::connections>();
+    const uint64_t nc = live.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Single writer (this loop adopts), so a plain load/store bump.
+    auto& peak = w.cell<&ServerStats::connections_peak>();
+    if (nc > peak.load(std::memory_order_relaxed))
+      peak.store(nc, std::memory_order_relaxed);
   }
 
   void drop_conn(Worker& w, Conn& c) {
@@ -962,24 +823,11 @@ class Server {
           w.scan_waiters.end());
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     w.conns[static_cast<size_t>(fd)].reset();  // closes the fd
-    w.nconns.fetch_sub(1, std::memory_order_relaxed);
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    w.cell<&ServerStats::connections>().fetch_sub(1,
+                                                  std::memory_order_relaxed);
   }
 
   // -- guard layer ---------------------------------------------------------
-
-  /// True when [lo, hi] should run as a chunked scan: chunking enabled,
-  /// a coordinated snapshot path exists, and the interval spans more
-  /// keys than one slice covers.
-  bool chunkable(KeyT lo, KeyT hi) const {
-    const size_t chunk = opt_.guard.scan_chunk_keys;
-    if (chunk == 0 || lo > hi) return false;
-    if (!set_->coordinated()) return false;
-    const uint64_t width_minus_1 =
-        ((static_cast<uint64_t>(hi) ^ (uint64_t{1} << 63)) -
-         (static_cast<uint64_t>(lo) ^ (uint64_t{1} << 63)));
-    return width_minus_1 >= chunk;
-  }
 
   /// Introspection ops stay admitted past the wave budget: overload is
   /// exactly when PING/STATS/METRICS must keep answering (and TXN_ABORT
@@ -1001,7 +849,7 @@ class Server {
     w.scan_items.clear();
     w.scan_fd = c.fd;
     w.scan_start_ns = obs_now_ns();
-    w.chunked.fetch_add(1, std::memory_order_relaxed);
+    w.add<&ServerStats::chunked_rqs>();
   }
 
   void start_or_queue_scan(Worker& w, Conn& c, KeyT lo, KeyT hi) {
@@ -1039,7 +887,7 @@ class Server {
       promote_waiter(w);
       if (!w.scan) return;
     }
-    w.scan_slices.fetch_add(1, std::memory_order_relaxed);
+    w.add<&ServerStats::scan_slices>();
     Conn* owner = w.conns[static_cast<size_t>(w.scan_fd)].get();
     const uint64_t slice_t0 = obs_now_ns();
     bool complete;
@@ -1061,8 +909,8 @@ class Server {
     encode_range_response(scratch, w.scan->timestamp(), w.scan_items);
     w.scan.reset();
     w.scan_fd = -1;
-    w.frames.fetch_add(1, std::memory_order_relaxed);
-    w.batches.fetch_add(1, std::memory_order_relaxed);
+    w.add<&ServerStats::frames>();
+    w.add<&ServerStats::batches>();
     const uint64_t scan_hist_ns = obs_now_ns() - w.scan_start_ns;
     if constexpr (obs::kEnabled)
       op_hist(Op::kRange).record(tid, scan_hist_ns);
@@ -1094,45 +942,30 @@ class Server {
   bool within_pending_cap(Worker& w, Conn& c) {
     const size_t cap = opt_.guard.max_conn_pending;
     if (cap == 0 || c.pending.size() - c.pending_off <= cap) return true;
-    w.reaped_slow.fetch_add(1, std::memory_order_relaxed);
+    w.add<&ServerStats::reaped_slow_reader>();
     return false;
   }
 
-  /// Fire due connection deadlines with lazy revalidation: the wheel
-  /// only wakes us; real activity is re-checked here and merely-slow
-  /// connections are re-armed for the remainder. Paused (scan-owning)
-  /// connections are never reaped — the server is the one delaying them.
-  void advance_timers(Worker& w, uint64_t now_ms) {
-    w.wheel.advance(now_ms, [&](int fd, uint32_t gen, TimerWheel::Kind k) {
-      Conn* c = static_cast<size_t>(fd) < w.conns.size()
-                    ? w.conns[static_cast<size_t>(fd)].get()
-                    : nullptr;
-      if (c == nullptr || c->gen != gen) return;  // closed / fd reused
-      const bool shielded = c->paused || c->scan_queued;
-      if (k == TimerWheel::Kind::kIdle) {
-        const uint32_t limit = opt_.guard.idle_timeout_ms;
-        if (limit == 0) return;
-        const uint64_t idle = now_ms - c->last_activity_ms;
-        if (idle >= limit && !shielded) {
-          w.reaped_idle.fetch_add(1, std::memory_order_relaxed);
-          drop_conn(w, *c);
-          return;
-        }
-        w.wheel.schedule(now_ms, idle >= limit ? limit : limit - idle, fd,
-                         gen, k);
-      } else {  // kWriteStall
-        const uint32_t limit = opt_.guard.write_stall_ms;
-        if (limit == 0 || c->pending_since_ms == 0) return;
-        const uint64_t stuck = now_ms - c->pending_since_ms;
-        if (stuck >= limit && !shielded) {
-          w.reaped_stall.fetch_add(1, std::memory_order_relaxed);
-          drop_conn(w, *c);
-          return;
-        }
-        w.wheel.schedule(now_ms, stuck >= limit ? limit : limit - stuck, fd,
-                         gen, k);
+  /// At most every kSweepMs, reap the connections idle (no byte read)
+  /// past idle_timeout_ms or with responses stuck unflushed past
+  /// write_stall_ms. Paused (scan-owning) and scan-queued connections
+  /// are never reaped — the server is the one delaying them.
+  void sweep(Worker& w, uint64_t now_ms) {
+    if (now_ms - w.swept_ms < kSweepMs) return;
+    w.swept_ms = now_ms;
+    const GuardOptions& g = opt_.guard;
+    for (auto& cp : w.conns) {
+      if (!cp || cp->paused || cp->scan_queued) continue;
+      if (g.idle_timeout_ms > 0 &&
+          now_ms - cp->last_activity_ms >= g.idle_timeout_ms) {
+        w.add<&ServerStats::reaped_idle>();
+        drop_conn(w, *cp);
+      } else if (g.write_stall_ms > 0 && cp->pending_since_ms != 0 &&
+                 now_ms - cp->pending_since_ms >= g.write_stall_ms) {
+        w.add<&ServerStats::reaped_write_stall>();
+        drop_conn(w, *cp);
       }
-    });
+    }
   }
 
   /// stop() drain: finish held scans inline (their snapshots are already
@@ -1173,7 +1006,6 @@ class Server {
         trace_abort(w, cp->trace);
         cp->trace = nullptr;
       }
-      closed_.fetch_add(1, std::memory_order_relaxed);
     }
     w.scan.reset();
     w.scan_fd = -1;
@@ -1195,7 +1027,7 @@ class Server {
                                 uint64_t start_ns) {
     obs::TraceScratch* t = w.tslots.acquire();
     if (t == nullptr) {
-      w.trace_scratch_exhausted.fetch_add(1, std::memory_order_relaxed);
+      w.add<&ServerStats::trace_scratch_exhausted>();
       return nullptr;
     }
     uint64_t id = f.trace_id;
@@ -1250,8 +1082,7 @@ class Server {
       const ssize_t r = fault::recv(c.fd, buf, sizeof buf, 0);
       if (r > 0) {
         c.in.insert(c.in.end(), buf, buf + r);
-        w.bytes_in.fetch_add(static_cast<uint64_t>(r),
-                              std::memory_order_relaxed);
+        w.add<&ServerStats::bytes_in>(static_cast<uint64_t>(r));
         c.last_activity_ms = steady_ms();
         continue;
       }
@@ -1289,7 +1120,7 @@ class Server {
         encode_status(scratch, s == SplitResult::kOversized
                                    ? Status::kErrTooLarge
                                    : Status::kErrMalformed);
-        w.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        w.add<&ServerStats::protocol_errors>();
         c.closing = true;  // framing lost; close after the flush
         break;
       }
@@ -1304,7 +1135,7 @@ class Server {
       if (budget != nullptr && budget->spent() &&
           !exempt_from_shedding(f.op())) {
         encode_overloaded(scratch, opt_.guard.retry_after_ms);
-        w.shed.fetch_add(1, std::memory_order_relaxed);
+        w.add<&ServerStats::shed>();
         budget->exhausted = true;
         if (traced) {
           if (obs::TraceScratch* t = trace_open(w, f, wake_ns)) {
@@ -1325,15 +1156,20 @@ class Server {
         t->stamp(obs::TraceStage::kAdmission, prev_ns, prev_ns, 0, 0);
       }
       const size_t scratch_before = scratch.size();
-      ExecResult er;
+      Outcome o;
       {
         // Park the scratch in the thread-local hook: the shard fan-out
         // (ShardedSet::Snapshot, inline or a scan's pin) stamps its spans
         // through it.
         obs::CurrentTraceScope scope(t);
-        er = execute(w, tid, c, f, scratch, rq_out);
+        o = dispatch(*set_, tid, c.txn, f, scratch, rq_out, *this);
+        if (o == Outcome::kChunk)
+          start_or_queue_scan(w, c, get_i64(f.body), get_i64(f.body + 8));
       }
-      if (er == ExecResult::kStartScan) {
+      if (o == Outcome::kError) w.add<&ServerStats::protocol_errors>();
+      if (o == Outcome::kCommitted) w.add<&ServerStats::txns_committed>();
+      if (o == Outcome::kAborted) w.add<&ServerStats::txns_aborted>();
+      if (o == Outcome::kChunk) {
         // Frame consumed, but its response arrives when the scan
         // completes (pump_scan counts it then). Stop parsing: response
         // order must match request order, so everything behind the
@@ -1369,8 +1205,8 @@ class Server {
     }
     if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
     if (executed > 0) {
-      w.frames.fetch_add(executed, std::memory_order_relaxed);
-      w.batches.fetch_add(1, std::memory_order_relaxed);
+      w.add<&ServerStats::frames>(executed);
+      w.add<&ServerStats::batches>();
     }
     const bool flushed = flush(w, c, &scratch);
     if constexpr (obs::kEnabled) {
@@ -1411,155 +1247,6 @@ class Server {
     }
   }
 
-  /// How a frame's execution resolved: response appended now, or a
-  /// chunked scan was started/queued and the response arrives later.
-  enum class ExecResult : uint8_t { kDone, kStartScan };
-
-  /// Execute one request frame; append the response to `out` (kDone), or
-  /// park the connection behind a chunked scan (kStartScan).
-  ExecResult execute(Worker& w, int tid, Conn& c, const FrameView& f,
-                     std::vector<uint8_t>& out, RangeSnapshot& rq_out) {
-    auto err = [&](Status st) {
-      encode_status(out, st);
-      w.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      return ExecResult::kDone;
-    };
-    switch (f.op()) {
-      case Op::kGet: {
-        if (f.body_len != 8) return err(Status::kErrMalformed);
-        ValT v = 0;
-        if (set_->contains(tid, get_i64(f.body), &v))
-          encode_val_response(out, v);
-        else
-          encode_status(out, Status::kNo);
-        return ExecResult::kDone;
-      }
-      case Op::kInsert: {
-        if (f.body_len != 16) return err(Status::kErrMalformed);
-        encode_status(out, set_->insert(tid, get_i64(f.body),
-                                        get_i64(f.body + 8))
-                               ? Status::kOk
-                               : Status::kNo);
-        return ExecResult::kDone;
-      }
-      case Op::kRemove: {
-        if (f.body_len != 8) return err(Status::kErrMalformed);
-        encode_status(
-            out, set_->remove(tid, get_i64(f.body)) ? Status::kOk
-                                                    : Status::kNo);
-        return ExecResult::kDone;
-      }
-      case Op::kRange: {
-        if (f.body_len != 16) return err(Status::kErrMalformed);
-        const KeyT lo = get_i64(f.body), hi = get_i64(f.body + 8);
-        // Wide scans run chunked behind the wave when a coordinated
-        // snapshot path exists; the inline path keeps serving narrow
-        // ranges (and every range when chunking is unavailable).
-        if (chunkable(lo, hi) && !c.closing) {
-          start_or_queue_scan(w, c, lo, hi);
-          return ExecResult::kStartScan;
-        }
-        set_->range_query(tid, lo, hi, rq_out);
-        encode_range_response(out,
-                              rq_out.has_timestamp()
-                                  ? rq_out.timestamp()
-                                  : RangeSnapshot::kNoTimestamp,
-                              rq_out.items());
-        return ExecResult::kDone;
-      }
-      case Op::kTxnBegin: {
-        if (c.in_txn) return err(Status::kErrTxnState);
-        c.in_txn = true;
-        c.txn.clear();
-        encode_status(out, Status::kOk);
-        return ExecResult::kDone;
-      }
-      case Op::kTxnOp: {
-        if (!c.in_txn) return err(Status::kErrTxnState);
-        if (f.body_len < 9) return err(Status::kErrMalformed);
-        const Op inner = static_cast<Op>(f.body[0]);
-        const size_t want = inner == Op::kInsert ? 17 : 9;
-        if ((inner != Op::kGet && inner != Op::kInsert &&
-             inner != Op::kRemove) ||
-            f.body_len != want)
-          return err(Status::kErrMalformed);
-        if (c.txn.size() >= opt_.max_txn_ops) return err(Status::kErrTxnState);
-        c.txn.push_back({inner, get_i64(f.body + 1),
-                         inner == Op::kInsert ? get_i64(f.body + 9) : 0});
-        encode_status(out, Status::kOk);
-        return ExecResult::kDone;
-      }
-      case Op::kTxnCommit: {
-        if (!c.in_txn) return err(Status::kErrTxnState);
-        // The batch runs back-to-back under this worker's one session —
-        // the wire analogue of db::Txn's "one dense id over every index
-        // the transaction touches".
-        put_u32(out, static_cast<uint32_t>(1 + 4 + 9 * c.txn.size()));
-        out.push_back(static_cast<uint8_t>(Status::kOk));
-        put_u32(out, static_cast<uint32_t>(c.txn.size()));
-        for (const BufferedOp& op : c.txn) {
-          ValT v = 0;
-          bool r = false;
-          switch (op.op) {
-            case Op::kGet: r = set_->contains(tid, op.key, &v); break;
-            case Op::kInsert: r = set_->insert(tid, op.key, op.val); break;
-            case Op::kRemove: r = set_->remove(tid, op.key); break;
-            default: break;
-          }
-          out.push_back(static_cast<uint8_t>(r ? Status::kOk : Status::kNo));
-          put_i64(out, v);
-        }
-        c.in_txn = false;
-        c.txn.clear();
-        w.txns_committed.fetch_add(1, std::memory_order_relaxed);
-        return ExecResult::kDone;
-      }
-      case Op::kTxnAbort: {
-        if (!c.in_txn) return err(Status::kErrTxnState);
-        c.in_txn = false;
-        c.txn.clear();
-        w.txns_aborted.fetch_add(1, std::memory_order_relaxed);
-        encode_status(out, Status::kOk);
-        return ExecResult::kDone;
-      }
-      case Op::kPing:
-        encode_status(out, Status::kOk);
-        return ExecResult::kDone;
-      case Op::kStats:
-        encode_text_response(out, stats_json());
-        return ExecResult::kDone;
-      case Op::kMetrics:
-        encode_text_response(out, obs::registry().prometheus());
-        return ExecResult::kDone;
-      case Op::kTraceDump: {
-        if (f.body_len == 8) {  // set rate + tail-commit threshold, ack
-          obs::trace_sample_every().store(get_u32(f.body),
-                                          std::memory_order_relaxed);
-          const uint32_t us = get_u32(f.body + 4);
-          obs::trace_threshold_ns().store(
-              us == UINT32_MAX ? obs::kTraceThresholdOff
-                               : static_cast<uint64_t>(us) * 1000,
-              std::memory_order_relaxed);
-          encode_status(out, Status::kOk);
-          return ExecResult::kDone;
-        }
-        if (f.body_len != 0) return err(Status::kErrMalformed);
-        encode_text_response(out, trace_dump_json());
-        return ExecResult::kDone;
-      }
-      case Op::kTraceGet: {
-        if (f.body_len != 8) return err(Status::kErrMalformed);
-        obs::TraceRecord rec;
-        if (find_trace(get_u64(f.body), &rec))
-          encode_text_response(out, trace_record_json(rec));
-        else
-          encode_status(out, Status::kNo);  // never committed, or evicted
-        return ExecResult::kDone;
-      }
-    }
-    return err(Status::kErrMalformed);  // unknown opcode; framing intact
-  }
-
   /// Normally one writev per connection per wave: leftover bytes from an
   /// earlier short write + this wave's scratch. Remainder (if any) is
   /// kept in c.pending and EPOLLOUT armed. False = fatal write error.
@@ -1592,8 +1279,7 @@ class Server {
         if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
         break;  // genuinely unwritable; EPOLLOUT will fire
       }
-      w.bytes_out.fetch_add(static_cast<uint64_t>(sent),
-                            std::memory_order_relaxed);
+      w.add<&ServerStats::bytes_out>(static_cast<uint64_t>(sent));
       size_t s = static_cast<size_t>(sent);
       const size_t pend = c.pending.size() - c.pending_off;
       const size_t from_pending = s < pend ? s : pend;
@@ -1618,17 +1304,11 @@ class Server {
       c.epollout = want_out;
     }
     // Write-stall deadline: stamp when bytes first back up; clear when
-    // the backlog drains. The wheel fires later and re-checks the stamp.
-    if (want_out) {
-      if (c.pending_since_ms == 0) {
-        c.pending_since_ms = steady_ms();
-        if (opt_.guard.write_stall_ms > 0)
-          w.wheel.schedule(c.pending_since_ms, opt_.guard.write_stall_ms,
-                           c.fd, c.gen, TimerWheel::Kind::kWriteStall);
-      }
-    } else {
+    // the backlog drains. The sweep reads the stamp.
+    if (!want_out)
       c.pending_since_ms = 0;
-    }
+    else if (c.pending_since_ms == 0)
+      c.pending_since_ms = steady_ms();
     return true;
   }
 
@@ -1644,13 +1324,10 @@ class Server {
   std::thread acceptor_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> stop_dropped_{0};  // survives worker teardown
   // Registered by start() after workers_ is built, removed by stop()
   // before it is torn down (their callbacks iterate workers_ unlocked).
-  obs::GaugeSet::Source obs_srcs_[kServerSeries];
-  obs::GaugeSet::Source obs_guard_srcs_[kGuardSeries];
-  obs::GaugeSet::Source obs_trace_srcs_[kTraceSeries];
+  obs::GaugeSet::Source obs_srcs_[std::size(kCounters)];
 };
 
 }  // namespace bref::net

@@ -10,6 +10,9 @@
 
 #include <atomic>
 #include <filesystem>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -176,6 +179,192 @@ TEST(Protocol, PoisonedFramingDetected) {
   EXPECT_EQ(split_frame(b.data(), b.size(), 0, kDefaultMaxFrame, &f,
                         &advance),
             SplitResult::kBadLength);
+}
+
+// ---- dispatch: every opcode in-process, no socket --------------------------
+
+// Stands in for the server: the dispatcher asks its host only for limits
+// and introspection bodies.
+struct StubHost {
+  size_t max_txn_ops() const { return 2; }
+  bool chunkable(KeyT lo, KeyT hi) const { return hi - lo >= 1000; }
+  std::string stats_json() const { return "{\"stub\": 1}"; }
+  std::string trace_dump_json() const { return "{\"records\": []}"; }
+  bool find_trace(uint64_t id, obs::TraceRecord* out) const {
+    if (id != 77) return false;
+    *out = obs::TraceRecord{};
+    out->trace_id = id;
+    return true;
+  }
+};
+
+class Dispatch : public ::testing::Test {
+ protected:
+  /// Dispatch one frame; unless it asked for a chunked scan, it must
+  /// have appended exactly one well-formed reply, decoded into `*r`.
+  Outcome run(uint8_t op, const std::vector<uint8_t>& body,
+              Reply* r = nullptr) {
+    FrameView f;
+    f.tag = op;
+    f.body = body.data();
+    f.body_len = body.size();
+    std::vector<uint8_t> out;
+    const Outcome o = dispatch(set, session.tid(), txn, f, out, rq, host);
+    Reply reply;
+    if (o == Outcome::kChunk) {
+      EXPECT_TRUE(out.empty());
+    } else {
+      FrameView rf;
+      size_t advance = 0;
+      EXPECT_EQ(split_frame(out.data(), out.size(), 0, kDefaultMaxFrame, &rf,
+                            &advance),
+                SplitResult::kFrame);
+      EXPECT_EQ(advance, out.size());
+      EXPECT_TRUE(decode_reply(static_cast<Op>(op), rf, &reply));
+    }
+    if (r != nullptr) *r = reply;
+    return o;
+  }
+  Status status(Op op, const std::vector<uint8_t>& body) {
+    Reply r;
+    run(static_cast<uint8_t>(op), body, &r);
+    return r.status;
+  }
+  static std::vector<uint8_t> txn_op(Op inner, size_t len) {
+    std::vector<uint8_t> b(len, 0);
+    if (len > 0) b[0] = static_cast<uint8_t>(inner);
+    return b;
+  }
+
+  ShardedSet set{"Bundle-skiplist", ShardOptions{}};
+  SessionGuard session;
+  TxnBuffer txn;
+  RangeSnapshot rq;
+  StubHost host;
+};
+
+TEST_F(Dispatch, EveryOpcodeEnforcesItsBodySize) {
+  ASSERT_TRUE(session.acquired());
+  // An 8-byte TRACE_DUMP sets the process-wide capture policy; put it back.
+  const uint32_t every = obs::trace_sample_every().load();
+  const uint64_t threshold = obs::trace_threshold_ns().load();
+  const std::vector<std::pair<Op, std::vector<size_t>>> sized = {
+      {Op::kGet, {8}},        {Op::kInsert, {16}},   {Op::kRemove, {8}},
+      {Op::kRange, {16}},     {Op::kTraceGet, {8}},  {Op::kTraceDump, {0, 8}}};
+  for (const auto& [op, valid] : sized) {
+    for (size_t len = 0; len <= 24; ++len) {
+      const bool ok =
+          std::find(valid.begin(), valid.end(), len) != valid.end();
+      Reply r;
+      const Outcome o = run(static_cast<uint8_t>(op),
+                            std::vector<uint8_t>(len, 0), &r);
+      EXPECT_EQ(o, ok ? Outcome::kOk : Outcome::kError)
+          << op_name(static_cast<uint8_t>(op)) << " body " << len;
+      if (!ok) {
+        EXPECT_EQ(r.status, Status::kErrMalformed);
+      }
+    }
+  }
+  obs::trace_sample_every().store(every);
+  obs::trace_threshold_ns().store(threshold);
+  // Ops PROTOCOL.md lists without a body accept and ignore any body.
+  const std::vector<uint8_t> junk(5, 0xab);
+  EXPECT_EQ(status(Op::kPing, junk), Status::kOk);
+  EXPECT_EQ(status(Op::kStats, junk), Status::kOk);
+  EXPECT_EQ(status(Op::kMetrics, junk), Status::kOk);
+  EXPECT_EQ(status(Op::kTxnBegin, junk), Status::kOk);
+  EXPECT_EQ(run(static_cast<uint8_t>(Op::kTxnAbort), junk),
+            Outcome::kAborted);
+  ASSERT_EQ(status(Op::kTxnBegin, junk), Status::kOk);
+  EXPECT_EQ(run(static_cast<uint8_t>(Op::kTxnCommit), junk),
+            Outcome::kCommitted);
+  // Unknown opcodes: malformed, framing intact.
+  for (const uint8_t op : {0, 14, 200}) {
+    Reply r;
+    EXPECT_EQ(run(op, {}, &r), Outcome::kError);
+    EXPECT_EQ(r.status, Status::kErrMalformed);
+  }
+}
+
+TEST_F(Dispatch, TxnOpChecksStateInnerOpAndCap) {
+  ASSERT_TRUE(session.acquired());
+  // Outside a transaction every TXN op but BEGIN is a state error.
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kGet, 9)), Status::kErrTxnState);
+  EXPECT_EQ(status(Op::kTxnCommit, {}), Status::kErrTxnState);
+  EXPECT_EQ(status(Op::kTxnAbort, {}), Status::kErrTxnState);
+  ASSERT_EQ(status(Op::kTxnBegin, {}), Status::kOk);
+  EXPECT_EQ(status(Op::kTxnBegin, {}), Status::kErrTxnState);
+  // Only GET/INSERT/REMOVE buffer, each with its exact body size.
+  for (const Op inner : {Op::kRange, Op::kPing, Op::kTxnOp, Op::kStats})
+    for (const size_t len : {9, 17})
+      EXPECT_EQ(status(Op::kTxnOp, txn_op(inner, len)), Status::kErrMalformed)
+          << op_name(static_cast<uint8_t>(inner)) << " body " << len;
+  for (const size_t len : {0, 1, 8, 10, 16, 18})
+    EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kGet, len)),
+              Status::kErrMalformed);
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kGet, 17)), Status::kErrMalformed);
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kRemove, 17)),
+            Status::kErrMalformed);
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kInsert, 9)),
+            Status::kErrMalformed);
+  EXPECT_TRUE(txn.ops.empty());
+  // The host caps a transaction at two ops.
+  std::vector<uint8_t> ins;
+  ins.push_back(static_cast<uint8_t>(Op::kInsert));
+  put_i64(ins, 5);
+  put_i64(ins, 50);
+  EXPECT_EQ(status(Op::kTxnOp, ins), Status::kOk);
+  std::vector<uint8_t> get;
+  get.push_back(static_cast<uint8_t>(Op::kGet));
+  put_i64(get, 5);
+  EXPECT_EQ(status(Op::kTxnOp, get), Status::kOk);
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kRemove, 9)),
+            Status::kErrTxnState);
+  EXPECT_FALSE(set.contains(session.tid(), 5, nullptr))
+      << "applied before commit";
+  Reply r;
+  ASSERT_EQ(run(static_cast<uint8_t>(Op::kTxnCommit), {}, &r),
+            Outcome::kCommitted);
+  ASSERT_EQ(r.txn.size(), 2u);
+  EXPECT_EQ(r.txn[0].status, Status::kOk);
+  EXPECT_EQ(r.txn[1].status, Status::kOk);
+  EXPECT_EQ(r.txn[1].val, 50);
+  EXPECT_FALSE(txn.open);
+  // Abort discards the buffer.
+  ASSERT_EQ(status(Op::kTxnBegin, {}), Status::kOk);
+  EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kRemove, 9)), Status::kOk);
+  EXPECT_EQ(run(static_cast<uint8_t>(Op::kTxnAbort), {}), Outcome::kAborted);
+  EXPECT_TRUE(txn.ops.empty());
+  EXPECT_TRUE(set.contains(session.tid(), 5, nullptr));
+}
+
+TEST_F(Dispatch, HostDecidesChunkingAndIntrospection) {
+  ASSERT_TRUE(session.acquired());
+  for (KeyT k = 1; k <= 5; ++k) set.insert(session.tid(), k, k * 10);
+  std::vector<uint8_t> narrow, wide;
+  put_i64(narrow, 2);
+  put_i64(narrow, 4);
+  put_i64(wide, 0);
+  put_i64(wide, 5000);
+  Reply r;
+  ASSERT_EQ(run(static_cast<uint8_t>(Op::kRange), narrow, &r), Outcome::kOk);
+  EXPECT_EQ(r.items, (std::vector<std::pair<KeyT, ValT>>{
+                         {2, 20}, {3, 30}, {4, 40}}));
+  EXPECT_NE(r.ts, RangeSnapshot::kNoTimestamp);
+  EXPECT_EQ(run(static_cast<uint8_t>(Op::kRange), wide), Outcome::kChunk);
+  ASSERT_EQ(run(static_cast<uint8_t>(Op::kStats), {}, &r), Outcome::kOk);
+  EXPECT_EQ(r.text, "{\"stub\": 1}");
+  ASSERT_EQ(run(static_cast<uint8_t>(Op::kTraceDump), {}, &r), Outcome::kOk);
+  EXPECT_EQ(r.text, "{\"records\": []}");
+  std::vector<uint8_t> id;
+  put_u64(id, 77);
+  ASSERT_EQ(run(static_cast<uint8_t>(Op::kTraceGet), id, &r), Outcome::kOk);
+  EXPECT_NE(r.text.find("\"trace_id\": \"000000000000004d\""),
+            std::string::npos)
+      << r.text;
+  id.clear();
+  put_u64(id, 78);
+  EXPECT_EQ(status(Op::kTraceGet, id), Status::kNo);
 }
 
 // ---- server: basic ops over loopback --------------------------------------
@@ -350,7 +539,7 @@ TEST(SessionMapping, ConnectionsDoNotConsumeThreadSlots) {
   std::vector<Client> conns;
   for (int i = 0; i < 100; ++i) conns.emplace_back(srv.port());
   for (auto& c : conns) ASSERT_TRUE(c.ping());
-  EXPECT_EQ(srv.connections(), 100u);
+  EXPECT_EQ(srv.stats().connections, 100u);
   EXPECT_EQ(ThreadRegistry::instance().in_use(), started);
   conns.clear();
   srv.stop();
@@ -601,6 +790,138 @@ TEST(Observability, UntracedClientsAndUnknownTraceIdsBehave) {
   ASSERT_TRUE(plain.insert(1, 1));
   EXPECT_EQ(plain.last_trace_id(), 0u);
   EXPECT_FALSE(plain.trace_get(0xdeadbeefdeadbeefull).has_value());
+  srv.stop();
+}
+
+// STATS and METRICS are read by dashboards and gate scripts, so their
+// names are an interface: this pins the STATS document's layout (every
+// number masked) and every bref_net_/bref_trace_ family's HELP, TYPE and
+// label sets.
+TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
+  Server srv(small_opts(/*workers=*/2, /*shards=*/2));
+  srv.start();
+  Client c(srv.port());
+  // One frame of each histogram-labelled op, so every op="..." series
+  // exists whichever tests ran before this one.
+  ASSERT_TRUE(c.insert(1, 1));
+  ASSERT_TRUE(c.get(1).has_value());
+  ASSERT_TRUE(c.remove(1));
+  RangeSnapshot snap;
+  c.range(0, 10, snap);
+  ASSERT_TRUE(c.txn_begin());
+  ASSERT_TRUE(c.txn_insert(2, 2));
+  ASSERT_EQ(c.txn_commit().size(), 1u);
+  ASSERT_TRUE(c.ping());
+
+  std::string doc = c.stats();
+  doc = doc.substr(0, doc.find(", \"obs\": "));
+  doc = std::regex_replace(doc, std::regex(": [0-9.]+"), ": N");
+  const std::string maint =
+      "{\"passes\": N, \"pruned\": N, \"flushed\": N, \"idle_backoffs\": N, "
+      "\"backlog\": N}";
+  EXPECT_EQ(doc,
+            "{\"impl\": \"Bundle-skiplist\", \"shards\": N, \"workers\": N, "
+            "\"connections\": N, \"connections_peak\": N, \"accepted\": N, "
+            "\"frames\": N, \"batches\": N, \"frames_per_batch\": N, "
+            "\"bytes_in\": N, \"bytes_out\": N, \"protocol_errors\": N, "
+            "\"txns_committed\": N, \"txns_aborted\": N, "
+            "\"guard\": {\"shed\": N, \"chunked_rqs\": N, \"scan_slices\": N, "
+            "\"reaped_idle\": N, \"reaped_write_stall\": N, "
+            "\"reaped_slow_reader\": N, \"stop_dropped\": N, "
+            "\"overloaded\": N}, "
+            "\"trace\": {\"committed\": N, \"dropped\": N, "
+            "\"scratch_exhausted\": N, \"scratch_in_use\": N}, "
+            "\"routing\": {\"single_shard_rqs\": N, \"coordinated_rqs\": N, "
+            "\"fallback_rqs\": N, \"timestamps_acquired\": N}, "
+            "\"maintenance\": [" +
+                maint + ", " + maint + "]");
+
+  const std::string text = c.metrics();
+  std::string err;
+  std::vector<bref::obs::PromSeries> series;
+  ASSERT_TRUE(bref::obs::validate_prometheus(text, &err, &series)) << err;
+  auto ours = [](const std::string& name) {
+    return name.rfind("bref_net_", 0) == 0 || name.rfind("bref_trace_", 0) == 0;
+  };
+  std::set<std::string> got;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);)
+    if (line.rfind("# ", 0) == 0 && ours(line.substr(7))) got.insert(line);
+  for (const auto& s : series) {
+    // One line per histogram series: its _count (no le label).
+    if (!ours(s.name) || s.name.ends_with("_bucket") ||
+        s.name.ends_with("_sum"))
+      continue;
+    std::string id = s.name;
+    for (size_t i = 0; i < s.labels.size(); ++i)
+      id += (i == 0 ? "{" : ",") + s.labels[i].first + "=\"" +
+            s.labels[i].second + "\"";
+    got.insert(s.labels.empty() ? id : id + "}");
+  }
+  std::set<std::string> want;
+  auto family = [&](const char* name, const char* type, const char* help,
+                    std::vector<std::string> samples) {
+    want.insert(std::string("# HELP ") + name + " " + help);
+    want.insert(std::string("# TYPE ") + name + " " + type);
+    for (const std::string& s : samples) want.insert(name + s);
+  };
+  family("bref_net_connections", "gauge",
+         "Connections currently adopted by worker loops", {""});
+  family("bref_net_connections_peak", "gauge",
+         "High-water mark of adopted connections (max over live servers)",
+         {""});
+  family("bref_net_accepted_total", "counter", "Connections accepted", {""});
+  family("bref_net_frames_total", "counter", "Request frames executed", {""});
+  family("bref_net_batches_total", "counter",
+         "Epoll waves that executed at least one frame", {""});
+  family("bref_net_bytes_in_total", "counter", "Request bytes read", {""});
+  family("bref_net_bytes_out_total", "counter", "Response bytes written",
+         {""});
+  family("bref_net_protocol_errors_total", "counter", "Error responses sent",
+         {""});
+  family("bref_net_txns_committed_total", "counter",
+         "Wire transactions committed", {""});
+  family("bref_net_txns_aborted_total", "counter", "Wire transactions aborted",
+         {""});
+  family("bref_net_shed_total", "counter",
+         "Request frames answered kErrOverloaded by admission control", {""});
+  family("bref_net_chunked_total", "counter",
+         "RANGE queries executed as cooperative chunked scans", {""});
+  family("bref_net_scan_slices_total", "counter",
+         "Chunk slices executed across all chunked scans", {""});
+  family("bref_net_reaped_total", "counter",
+         "Connections closed by the guard layer",
+         {"{reason=\"idle\"}", "{reason=\"write_stall\"}",
+          "{reason=\"slow_reader\"}"});
+  family("bref_net_stop_dropped_total", "counter",
+         "Connections closed at stop() with undelivered response bytes", {""});
+  family("bref_net_overloaded", "gauge",
+         "Worker loops currently shedding (admission budget exhausted)", {""});
+  family("bref_trace_committed_total", "counter",
+         "Request traces committed to the per-worker rings (tail threshold "
+         "or reservoir)",
+         {""});
+  family("bref_trace_dropped_total", "counter",
+         "Committed trace records overwritten by ring-window churn", {""});
+  family("bref_trace_scratch_exhausted_total", "counter",
+         "Requests not traced because the worker's scratch-slot pool was "
+         "full",
+         {""});
+  family("bref_trace_scratch_in_use", "gauge",
+         "Trace scratch slots currently held (live chunked scans when idle)",
+         {""});
+  if (obs::kEnabled) {  // recorded only when the record paths are built
+    family("bref_net_op_seconds", "histogram",
+           "Per-op execute time on the worker loop",
+           {"_count{op=\"get\"}", "_count{op=\"insert\"}",
+            "_count{op=\"remove\"}", "_count{op=\"range\"}",
+            "_count{op=\"txn_commit\"}", "_count{op=\"other\"}"});
+    family("bref_net_stage_seconds", "histogram",
+           "Worker-loop stage time per connection batch",
+           {"_count{stage=\"queue\"}", "_count{stage=\"execute\"}",
+            "_count{stage=\"flush\"}"});
+  }
+  EXPECT_EQ(got, want);
   srv.stop();
 }
 

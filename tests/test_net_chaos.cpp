@@ -276,6 +276,38 @@ TEST(Guard, IdleConnectionsAreReaped) {
   srv.stop();
 }
 
+// Responses back up behind a client that stopped reading; with no pending
+// cap, only the write-stall deadline can close the connection.
+TEST(Guard, WriteStalledConnectionIsReaped) {
+  ServerOptions o = small_opts(/*workers=*/1);
+  o.guard.write_stall_ms = 200;
+  o.guard.max_conn_pending = 0;       // no slow-reader cap
+  o.guard.scan_chunk_keys = 0;        // inline RANGEs: responses pile up
+  o.guard.max_wave_bytes = 64 << 20;  // don't shed; we want the pileup
+  Server srv(o);
+  srv.start();
+  {
+    Client w(srv.port());
+    for (KeyT k = 0; k < 4000; ++k) w.insert(k, k);
+  }
+  Client stalled(srv.port());
+  std::vector<uint8_t> reqs;
+  for (int i = 0; i < 400; ++i) encode_range(reqs, 0, 4000);
+  try {
+    stalled.write_all(reqs.data(), reqs.size());
+  } catch (const NetError&) {
+    // The server may reset the connection while we are still writing.
+  }
+  EXPECT_TRUE(eventually(
+      [&] { return srv.stats().reaped_write_stall >= 1; }))
+      << srv.stats_json();
+  EXPECT_EQ(srv.stats().reaped_slow_reader, 0u);
+  EXPECT_EQ(srv.stats().reaped_idle, 0u);
+  Client c(srv.port());
+  EXPECT_TRUE(c.ping());
+  srv.stop();
+}
+
 TEST(Guard, OverloadShedsThenRecovers) {
   ServerOptions o = small_opts(/*workers=*/1);
   o.guard.max_wave_frames = 8;  // tiny budget: deep pipelines must shed
