@@ -502,7 +502,8 @@ class Server {
   using MK = obs::MetricKind;
 
   /// Every exported counter. stats(), STATS and the METRICS sources all
-  /// read this table, in this order.
+  /// read this table, in this order; stats_json() opens one object per
+  /// run of equal sections, so a section's rows must stay adjacent.
   static constexpr ServerCounter kCounters[] = {
       {&ServerStats::connections, "", "connections", "bref_net_connections",
        "", MK::kGauge, "Connections currently adopted by worker loops"},
