@@ -12,7 +12,7 @@
 // implementation unsharded, same maintenance configuration, re-measured
 // at EVERY sweep point so each sharded cell carries its own
 // speedup_vs_unsharded and the per-K crossover (first thread count where
-// sharding wins) lands in the JSON for tools/shard_gate.py.
+// sharding wins) lands in the JSON for `tools/gate.py shard`.
 //
 //   fig6_sharded --impl Bundle-skiplist --shards 1,2,4,8 --threads 1,2,4
 //                [--zipf 0,0.99] [--maint-interval MS] [--backlog-wake N]

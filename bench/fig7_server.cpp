@@ -49,7 +49,7 @@
 //                         disarmed) then fully on ("trace-on": every
 //                         request frame carries a trace context, server
 //                         runs the default tail-biased capture policy).
-//                         The gate (tools/trace_gate.py) holds the p99
+//                         The gate (tools/gate.py trace) holds the p99
 //                         overhead of trace-on at <= 3% at matched
 //                         achieved rate.
 //   --trace on|off        whether the OTHER scenarios stamp + capture
@@ -73,7 +73,6 @@
 // shed/chunked/reaped). --metrics-out writes the mid-run Prometheus
 // scrape to a file (CI validates it with tools/promcheck).
 
-#include <fcntl.h>
 #include <poll.h>
 
 #include <algorithm>
@@ -124,45 +123,32 @@ struct DriverConfig {
   bool trace = true;  // stamp a trace context on every request frame
 };
 
-/// One scheduled-but-unanswered request frame. Responses arrive in frame
-/// order per connection (PROTOCOL.md), so a FIFO of these matches them.
-struct InFlight {
-  net::Op op;
-  uint64_t sched_ns;  // scheduled arrival of the unit this frame ends
+/// One sent-but-unanswered request frame. Replies arrive in frame order
+/// per connection (PROTOCOL.md), so a FIFO of these matches them.
+struct Due {
+  uint64_t sched_ns;  // scheduled arrival of the unit this frame belongs to
   bool sample;        // record a latency sample at this frame's reply
 };
 
+/// One connection: the client codec (a Client driven through a
+/// nonblocking Pipeline) plus its open-loop schedule.
 struct Conn {
   Conn(uint16_t port, uint64_t interval_ns, uint64_t first_due_ns,
        const DriverConfig& cfg, uint64_t seed)
-      : client(port),
+      : client(port, net::ClientOptions{.trace = cfg.trace}),
+        pipe(client),
         rng(seed),
         zipf(static_cast<uint64_t>(cfg.key_range), cfg.zipf_theta, seed ^ 77),
         interval(interval_ns),
-        next_due(first_due_ns) {
-    // The sync Client did the connect; drive its fd nonblocking from here.
-    const int fd = client.fd();
-    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  }
-
-  /// Connection-unique trace ids (the per-conn seed is already unique);
-  /// never 0 ("no context").
-  uint64_t next_trace_id() {
-    if (trace_base == 0) trace_base = (rng.next_u64() | 1) << 20;
-    return trace_base + ++trace_seq;
-  }
+        next_due(first_due_ns) {}
 
   net::Client client;
+  net::Pipeline pipe;
   Xoshiro256 rng;
   ZipfGenerator zipf;
   uint64_t interval;
   uint64_t next_due;
-  uint64_t trace_base = 0;
-  uint64_t trace_seq = 0;
-  std::vector<uint8_t> out;  // encoded-but-unsent request bytes
-  size_t out_off = 0;
-  std::vector<uint8_t> in;   // partial response bytes
-  std::deque<InFlight> inflight;
+  std::deque<Due> due;
   bool dead = false;
 };
 
@@ -180,137 +166,76 @@ uint64_t ns_since(Clock::time_point t0) {
           .count());
 }
 
-/// Append one workload unit's frames to c.out per the scenario mix, with
-/// its latency clock starting at the *scheduled* time, not the send time.
+/// Queue one workload unit's frames per the scenario mix, with its
+/// latency clock starting at the *scheduled* time, not the send time.
+/// Traced runs stamp a trace context onto every frame (ClientOptions::
+/// trace), so the tracing-on side of the overhead gate pays the full wire
+/// cost.
 void schedule_unit(Conn& c, const DriverConfig& cfg, uint64_t sched_ns) {
   const Scenario& mix = cfg.mix;
   const uint64_t dice = c.rng.next_range(100);
   const KeyT k = 1 + static_cast<KeyT>(c.zipf.next());
-  // Traced runs stamp a trace context onto every frame right after
-  // encoding it (while the frame is still the buffer tail) — the
-  // tracing-on side of the overhead gate pays the full wire cost.
-  const size_t unit_off = c.out.size();
-  size_t frame_off = unit_off;
-  auto stamp = [&] {
-    if (cfg.trace) net::stamp_trace_context(c.out, frame_off, c.next_trace_id());
-    frame_off = c.out.size();
-  };
+  net::Pipeline& p = c.pipe;
   if (dice < static_cast<uint64_t>(mix.txn_pct)) {
-    net::encode_txn_begin(c.out);
-    stamp();
-    c.inflight.push_back({net::Op::kTxnBegin, sched_ns, false});
+    p.txn_begin();
+    c.due.push_back({sched_ns, false});  // only the commit reply ends it
     for (int i = 0; i < cfg.txn_ops; ++i) {
       const KeyT tk = 1 + static_cast<KeyT>(c.zipf.next());
       switch (c.rng.next_range(3)) {
         case 0:
-          net::encode_txn_op(c.out, net::Op::kInsert, tk, tk);
+          p.txn_op(net::Op::kInsert, tk, tk);
           break;
         case 1:
-          net::encode_txn_op(c.out, net::Op::kRemove, tk);
+          p.txn_op(net::Op::kRemove, tk);
           break;
         default:
-          net::encode_txn_op(c.out, net::Op::kGet, tk);
+          p.txn_op(net::Op::kGet, tk);
           break;
       }
-      stamp();
-      c.inflight.push_back({net::Op::kTxnOp, sched_ns, false});
+      c.due.push_back({sched_ns, false});
     }
-    net::encode_txn_commit(c.out);
-    stamp();
-    c.inflight.push_back({net::Op::kTxnCommit, sched_ns, true});
+    p.txn_commit();
   } else if (dice < static_cast<uint64_t>(mix.txn_pct + mix.rq_pct)) {
-    net::encode_range(c.out, k, k + cfg.rq_size - 1);
-    stamp();
-    c.inflight.push_back({net::Op::kRange, sched_ns, true});
+    p.range(k, k + cfg.rq_size - 1);
   } else if (dice <
              static_cast<uint64_t>(mix.txn_pct + mix.rq_pct + mix.u_pct)) {
-    // One dice roll decides BOTH the encoded op and the in-flight record —
-    // the reply decoder is op-directed, so they must agree.
-    if (c.rng.next_range(2) == 0) {
-      net::encode_insert(c.out, k, k);
-      c.inflight.push_back({net::Op::kInsert, sched_ns, true});
-    } else {
-      net::encode_remove(c.out, k);
-      c.inflight.push_back({net::Op::kRemove, sched_ns, true});
-    }
-    stamp();
+    if (c.rng.next_range(2) == 0)
+      p.insert(k, k);
+    else
+      p.remove(k);
   } else {
-    net::encode_get(c.out, k);
-    stamp();
-    c.inflight.push_back({net::Op::kGet, sched_ns, true});
+    p.get(k);
   }
+  c.due.push_back({sched_ns, true});
 }
 
-/// Flush as much of c.out as the socket accepts (nonblocking).
-void try_write(Conn& c, DriverResult& res) {
-  while (c.out_off < c.out.size()) {
-    const ssize_t r = ::send(c.client.fd(), c.out.data() + c.out_off,
-                             c.out.size() - c.out_off, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      c.dead = true;
-      ++res.errors;
-      return;
-    }
-    c.out_off += static_cast<size_t>(r);
-  }
-  c.out.clear();
-  c.out_off = 0;
-}
-
-/// Read everything available and resolve completed frames against the
-/// in-flight FIFO, recording latency samples at unit-ending replies.
-void try_read(Conn& c, Clock::time_point t0, DriverResult& res) {
-  uint8_t chunk[65536];
-  for (;;) {
-    const ssize_t r = ::recv(c.client.fd(), chunk, sizeof chunk, 0);
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      c.dead = true;
-      ++res.errors;
-      return;
-    }
-    if (r == 0) {  // server closed; only expected if we poisoned the stream
-      c.dead = true;
-      ++res.errors;
-      return;
-    }
-    c.in.insert(c.in.end(), chunk, chunk + r);
-    if (static_cast<size_t>(r) < sizeof chunk) break;
-  }
-  size_t off = 0;
-  net::FrameView f;
-  size_t advance = 0;
+/// Send what the socket takes now if `writable`; if `readable`, read what
+/// has arrived and match each whole reply against the due FIFO, recording
+/// latency samples at unit-ending replies. A connection that fails (closed,
+/// reset, or a reply that does not parse) is dead.
+void service(Conn& c, bool writable, bool readable, Clock::time_point t0,
+             DriverResult& res) {
   net::Reply reply;
-  // Responses are exempt from the request-side max_frame (a RANGE reply is
-  // bounded by the range asked for); 256 MiB is "anything sane".
-  while (net::split_frame(c.in.data(), c.in.size(), off, 256u << 20, &f,
-                          &advance) == net::SplitResult::kFrame) {
-    off += advance;
-    if (c.inflight.empty()) {  // reply with no matching request
-      c.dead = true;
-      ++res.errors;
-      return;
+  try {
+    if (writable) c.pipe.send();
+    if (readable) c.pipe.receive();
+    while (readable && c.pipe.next(&reply)) {
+      const Due d = c.due.front();
+      c.due.pop_front();
+      ++res.frames;
+      if (reply.overloaded()) {
+        // Shed by admission control: a deliberate, well-formed outcome,
+        // not an error. Excluded from the histogram so p99 is
+        // p99-of-accepted.
+        ++res.shed;
+        continue;
+      }
+      if (d.sample) res.latency.record(ns_since(t0) - d.sched_ns);
     }
-    const InFlight inf = c.inflight.front();
-    c.inflight.pop_front();
-    if (!net::decode_reply(inf.op, f, &reply)) {
-      c.dead = true;
-      ++res.errors;
-      return;
-    }
-    ++res.frames;
-    if (reply.overloaded()) {
-      // Shed by admission control: a deliberate, well-formed outcome, not
-      // an error. Excluded from the histogram so p99 is p99-of-accepted.
-      ++res.shed;
-      continue;
-    }
-    if (inf.sample) res.latency.record(ns_since(t0) - inf.sched_ns);
+  } catch (const net::NetError&) {
+    c.dead = true;
+    ++res.errors;
   }
-  if (off > 0) c.in.erase(c.in.begin(), c.in.begin() + off);
 }
 
 /// One driver thread: owns `nconns` connections, runs their open-loop
@@ -361,12 +286,12 @@ DriverResult drive(const DriverConfig& cfg, int thread_idx, int nconns,
         }
         next_wake = std::min(next_wake, c.next_due);
       }
-      if (!c.out.empty()) try_write(c, res);
-      if (!c.out.empty() || !c.inflight.empty()) idle = false;
+      if (c.pipe.unsent() > 0) service(c, true, false, t0, res);
+      if (c.pipe.unsent() > 0 || !c.due.empty()) idle = false;
     }
     if (!scheduling && idle) break;
     if (t > drain_deadline_ns) {
-      for (auto& cp : conns) res.stragglers += cp->inflight.size();
+      for (auto& cp : conns) res.stragglers += cp->due.size();
       break;
     }
     int timeout_ms = 10;
@@ -387,7 +312,7 @@ DriverResult drive(const DriverConfig& cfg, int thread_idx, int nconns,
       if (cp->dead) continue;
       pfds[n].fd = cp->client.fd();
       pfds[n].events =
-          static_cast<short>(POLLIN | (cp->out.empty() ? 0 : POLLOUT));
+          static_cast<short>(POLLIN | (cp->pipe.unsent() > 0 ? POLLOUT : 0));
       pfds[n].revents = 0;
       ++n;
     }
@@ -397,8 +322,7 @@ DriverResult drive(const DriverConfig& cfg, int thread_idx, int nconns,
     for (auto& cp : conns) {
       if (cp->dead) continue;
       const short re = pfds[i++].revents;
-      if (re & POLLOUT) try_write(*cp, res);
-      if (re & (POLLIN | POLLHUP | POLLERR)) try_read(*cp, t0, res);
+      service(*cp, re & POLLOUT, re & (POLLIN | POLLHUP | POLLERR), t0, res);
     }
   }
   return res;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <regex>
 #include <set>
@@ -19,6 +20,7 @@
 #include "common/thread_registry.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net_batch.h"
 #include "obs/prom_validate.h"
 #include "validation/wing_gong.h"
 
@@ -34,6 +36,20 @@ ServerOptions small_opts(int workers = 2, size_t shards = 4) {
   o.key_lo = 0;
   o.key_hi = 1 << 16;
   return o;
+}
+
+/// A loopback listener nobody serves; `*port` gets its port.
+int listen_loopback(uint16_t* port) {
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  EXPECT_EQ(::listen(lfd, 1), 0);
+  socklen_t alen = sizeof addr;
+  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen);
+  *port = ntohs(addr.sin_port);
+  return lfd;
 }
 
 size_t open_fds() {
@@ -417,6 +433,29 @@ TEST(Server, PipelinedBatchAnswersInOrder) {
   EXPECT_GE(st.frames, 66u);
   EXPECT_LT(st.batches, st.frames);
   srv.stop();
+}
+
+// Pipeline's nonblocking calls, driven under poll() as fig7 drives them,
+// return exactly what collect() returns for the same batch on an
+// identical server: the same replies in the same order, timestamps and
+// the chunked whole-keyspace RANGE included.
+TEST(ClientPipeline, NonblockingBatchMatchesCollect) {
+  std::vector<Reply> got, want;
+  for (const bool nonblocking : {true, false}) {
+    Server srv(small_opts());
+    srv.start();
+    Client c(srv.port());
+    Pipeline p(c);
+    if (nonblocking) {
+      testbatch::MixedBatch b(1 << 16);
+      got = testbatch::drive_nonblocking(c, p, b);
+      EXPECT_EQ(srv.stats().chunked_rqs, 1u);
+    } else {
+      want = testbatch::collect_all(p, 1 << 16);
+    }
+    srv.stop();
+  }
+  testbatch::expect_same_replies(got, want);
 }
 
 // A body-malformed frame gets an error response but the stream stays in
@@ -1067,14 +1106,13 @@ TEST(ClientRobustness, ServerDeathMidPipelineReturnsWithinDeadline) {
   srv.start();
   ClientOptions copt;
   copt.op_deadline_ms = 4'000;
-  copt.recv_timeout_ms = 200;
   Client c(srv.port(), copt);
   ASSERT_TRUE(c.ping());
   Pipeline p(c);
   for (int i = 0; i < 20'000; ++i) p.insert(i, i);
   p.flush();
   std::thread killer([&] { srv.stop(); });
-  const uint64_t t0 = Client::now_ms();
+  const uint64_t t0 = steady_ms();
   try {
     p.collect();
   } catch (const NetError& e) {
@@ -1083,37 +1121,66 @@ TEST(ClientRobustness, ServerDeathMidPipelineReturnsWithinDeadline) {
                 e.kind() == NetErrorKind::kTimeout)
         << net::to_string(e.kind());
   }
-  EXPECT_LT(Client::now_ms() - t0, 10'000u);
+  EXPECT_LT(steady_ms() - t0, 10'000u);
   killer.join();
 }
 
 // A peer that accepts the connection but never answers (black hole) must
 // surface as kTimeout at the op deadline, not an indefinite recv block.
 TEST(ClientRobustness, BlackHolePeerTimesOutInsteadOfHanging) {
-  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
   ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
-  ASSERT_EQ(::listen(lfd, 1), 0);
-  socklen_t alen = sizeof addr;
-  ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen);
 
   ClientOptions copt;
   copt.op_deadline_ms = 600;
-  copt.recv_timeout_ms = 100;
-  Client c(ntohs(addr.sin_port), copt);
-  const uint64_t t0 = Client::now_ms();
+  Client c(port, copt);
+  const uint64_t t0 = steady_ms();
   try {
     c.get(1);
     FAIL() << "expected kTimeout against a black-hole peer";
   } catch (const NetError& e) {
     EXPECT_EQ(e.kind(), NetErrorKind::kTimeout) << net::to_string(e.kind());
   }
-  const uint64_t took = Client::now_ms() - t0;
+  const uint64_t took = steady_ms() - t0;
   EXPECT_GE(took, 500u);    // honored the deadline...
   EXPECT_LT(took, 5'000u);  // ...and did not sit past it
+  ::close(lfd);
+}
+
+// A reply whose length word declares far more than any reply may carry
+// is a typed kProtocol error, raised from the 5 bytes received: the
+// client never sizes a buffer from a length it has not received.
+TEST(ClientRobustness, BogusReplyLengthIsATypedError) {
+  uint16_t port = 0;
+  const int lfd = listen_loopback(&port);
+  ASSERT_GE(lfd, 0);
+  std::atomic<bool> done{false};
+  std::thread peer([&] {
+    const int fd = ::accept(lfd, nullptr, nullptr);
+    uint8_t req[64];
+    ::recv(fd, req, sizeof req, 0);  // the GET
+    const uint8_t bogus[5] = {0xF0, 0xFF, 0xFF, 0x7F,  // len 0x7FFFFFF0
+                              static_cast<uint8_t>(Status::kOk)};
+    ::send(fd, bogus, sizeof bogus, MSG_NOSIGNAL);
+    while (!done.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::close(fd);  // held open until the client has given up
+  });
+
+  ClientOptions copt;
+  copt.op_deadline_ms = 2'000;
+  Client c(port, copt);
+  const uint64_t t0 = steady_ms();
+  try {
+    c.get(1);
+    ADD_FAILURE() << "expected kProtocol for a 0x7FFFFFF0-byte reply";
+  } catch (const NetError& e) {
+    EXPECT_EQ(e.kind(), NetErrorKind::kProtocol) << e.what();
+  }
+  EXPECT_LT(steady_ms() - t0, 2'000u);  // within the op deadline
+  done.store(true);
+  peer.join();
   ::close(lfd);
 }
 

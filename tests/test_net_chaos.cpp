@@ -34,6 +34,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/testing/faultfd.h"
+#include "net_batch.h"
 #include "validation/wing_gong.h"
 
 namespace {
@@ -57,15 +58,13 @@ ServerOptions small_opts(int workers = 2, size_t shards = 4) {
   return o;
 }
 
-uint64_t now_ms() { return Client::now_ms(); }
-
 /// Spin on a predicate with a deadline (stats are eventually consistent
 /// with the worker loops' relaxed counters).
 template <typename F>
 bool eventually(F&& f, uint64_t timeout_ms = 5'000) {
-  const uint64_t deadline = now_ms() + timeout_ms;
+  const uint64_t deadline = steady_ms() + timeout_ms;
   while (!f()) {
-    if (now_ms() >= deadline) return false;
+    if (steady_ms() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   return true;
@@ -145,6 +144,38 @@ TEST(Chaos, LosslessFaultsAuditLinearizable) {
                 scope.injector().short_io_injected(),
             0u);
   srv.stop();  // quiesce before the scope uninstalls
+}
+
+// The nonblocking Pipeline path (send/receive/next under poll(), as fig7
+// drives it) under EINTR and short I/O on both ends returns the replies
+// collect() gets from a fault-free server for the same batch.
+TEST(Chaos, LosslessFaultsKeepNonblockingPipelineReplies) {
+  std::vector<Reply> faulted, clean;
+  {
+    Server srv(small_opts());
+    srv.start();
+    Client c(srv.port());
+    Pipeline p(c);
+    clean = testbatch::collect_all(p, 1 << 16);
+    srv.stop();
+  }
+  Server srv(small_opts());
+  srv.start();
+  {
+    FaultPlan plan;
+    plan.seed = chaos_seed();
+    plan.eintr_permille = 60;
+    plan.short_io_permille = 120;  // no resets: byte stream stays lossless
+    FaultScope scope(plan);
+    Client c(srv.port());
+    Pipeline p(c);
+    testbatch::MixedBatch b(1 << 16);
+    faulted = testbatch::drive_nonblocking(c, p, b);
+    EXPECT_GT(scope.injector().eintr_injected(), 0u);
+    EXPECT_GT(scope.injector().short_io_injected(), 0u);
+    srv.stop();  // quiesce before the scope uninstalls
+  }
+  testbatch::expect_same_replies(faulted, clean);
 }
 
 // ---- lossy faults: survival + typed errors ---------------------------------
@@ -600,9 +631,9 @@ TEST(Guard, StopDrainIsDeadlineBounded) {
   } catch (const NetError&) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const uint64_t t0 = now_ms();
+  const uint64_t t0 = steady_ms();
   srv.stop();
-  const uint64_t took = now_ms() - t0;
+  const uint64_t took = steady_ms() - t0;
   EXPECT_LT(took, 5'000u) << "stop() must be deadline-bounded";
   // The undelivered backlog is observable, not silent.
   EXPECT_GE(srv.stats().stop_dropped, 1u);
