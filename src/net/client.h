@@ -409,13 +409,13 @@ class Client {
   /// the bytes received; 0 when none arrived.
   size_t recv_some(int flags) {
     if (in_off_ == in_len_) in_off_ = in_len_ = 0;
-    if (in_.size() - in_len_ < kRecvChunk) {  // compact, then grow
+    if (in_.size() - in_len_ < kRecvChunk && in_off_ > 0) {  // compact
       std::copy(in_.begin() + in_off_, in_.begin() + in_len_, in_.begin());
       in_len_ -= in_off_;
       in_off_ = 0;
-      if (in_.size() - in_len_ < kRecvChunk)
-        in_.resize(std::max(2 * in_.size(), in_len_ + kRecvChunk));
     }
+    if (in_.size() - in_len_ < kRecvChunk)  // grow
+      in_.resize(std::max(2 * in_.size(), in_len_ + kRecvChunk));
     for (;;) {
       const ssize_t r = fault::recv(fd_, in_.data() + in_len_,
                                     in_.size() - in_len_, flags);
