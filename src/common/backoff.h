@@ -2,6 +2,7 @@
 // CPU-relax and bounded exponential backoff used by all spin loops, plus
 // the sleeping jittered variant retry loops over the wire use.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -58,6 +59,12 @@ class JitteredBackoff {
         base_ms_(base_ms ? base_ms : 1),
         cap_ms_(cap_ms) {}
 
+  /// A schedule of its own: the seed is the next value of a process-wide
+  /// counter, mixed, so retriers built one after another do not sleep in
+  /// step. Construction order fixes each seed, so a single-threaded run
+  /// still replays exactly.
+  JitteredBackoff() noexcept : JitteredBackoff(next_seed()) {}
+
   /// Next delay in milliseconds (never exceeds cap; may be 0 — jitter).
   uint32_t next_ms() noexcept {
     uint64_t ceil = static_cast<uint64_t>(base_ms_) << attempt_;
@@ -86,11 +93,19 @@ class JitteredBackoff {
   uint32_t attempt() const noexcept { return attempt_; }
 
  private:
-  uint64_t next_random() noexcept {  // splitmix64
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
+  uint64_t next_random() noexcept { return splitmix64(state_); }
+
+  static uint64_t splitmix64(uint64_t& state) noexcept {
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
+  }
+
+  static uint64_t next_seed() noexcept {
+    static std::atomic<uint64_t> counter{0};
+    uint64_t n = counter.fetch_add(1, std::memory_order_relaxed);
+    return splitmix64(n);
   }
 
   uint64_t state_;

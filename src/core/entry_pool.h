@@ -15,7 +15,7 @@
 //     when that slab is spent touches the allocator (one 16 KiB slab
 //     from the SlabSource, core/slab_source.h: huge-page chunks, never
 //     unmapped).
-//   * Entries are stamped at construction with the pool slot that
+//   * Entries are stamped at construction with the tid whose slot
 //     allocated them (pool_tid). release() routes an entry back to its
 //     *owner's* inbox no matter which thread frees it — the cleaner thread
 //     drains EBR bags, so recycled entries flow cleaner -> updater without
@@ -58,8 +58,6 @@
 //   * member `const int32_t pool_tid`;
 //   * `static constexpr size_t kPoolPoisonBytes` — leading bytes safe to
 //     poison while pooled (must not cover the link or `pool_tid`);
-//   * optional `static constexpr size_t kPoolSlabEntries` — slab size in
-//     blocks instead of the default 16 KiB;
 //   * optional size classes: `static constexpr int kPoolClasses`,
 //     `static constexpr size_t pool_block_bytes(int cls)` and a member
 //     `int pool_class() const`; such types are constructed with their
@@ -96,20 +94,6 @@ namespace bref {
 
 /// Owner tag for entries handed out by the malloc bypass.
 inline constexpr int32_t kPoolMalloced = -1;
-
-/// Arena slots per pool, including arena 0 (the default). 64 named arenas
-/// is comfortably past any shard count this repo sweeps; exhaustion
-/// degrades to the default arena, never fails.
-inline constexpr int kMaxArenas = 64;
-
-/// Owner tag encoding: an entry allocated by thread `tid` under arena `a`
-/// is stamped `a * kMaxThreads + tid`, so release() can route it home to
-/// the exact (arena, thread) free list that owns its slab no matter which
-/// thread or arena context frees it. Arena 0 keeps the historical tag ==
-/// tid.
-inline constexpr int32_t pool_owner_tag(int arena, int tid) noexcept {
-  return static_cast<int32_t>(arena) * kMaxThreads + tid;
-}
 
 /// Aggregated counters for one pool (or, via EntryPoolRegistry::totals(),
 /// every pool in the process). `hits` are acquires served without touching
@@ -150,7 +134,6 @@ struct EntryPoolStats {
 class EntryPoolRegistry {
  public:
   using StatsFn = EntryPoolStats (*)();
-  using ArenaStatsFn = EntryPoolStats (*)(int);
   using EnableFn = void (*)(bool);
 
   static EntryPoolRegistry& instance() {
@@ -158,9 +141,9 @@ class EntryPoolRegistry {
     return reg;
   }
 
-  void register_pool(StatsFn stats, ArenaStatsFn arena_stats, EnableFn enable) {
+  void register_pool(StatsFn stats, EnableFn enable) {
     std::lock_guard<Spinlock> g(lock_);
-    pools_.push_back({stats, arena_stats, enable});
+    pools_.push_back({stats, enable});
   }
 
   /// Sum of every pool's counters (pools are never unregistered).
@@ -168,15 +151,6 @@ class EntryPoolRegistry {
     std::lock_guard<Spinlock> g(lock_);
     EntryPoolStats s;
     for (const auto& p : pools_) s += p.stats();
-    return s;
-  }
-
-  /// Sum of every pool's counters for one arena (the per-arena obs gauges
-  /// in ArenaRegistry read this).
-  EntryPoolStats arena_totals(int arena) const {
-    std::lock_guard<Spinlock> g(lock_);
-    EntryPoolStats s;
-    for (const auto& p : pools_) s += p.arena_stats(arena);
     return s;
   }
 
@@ -225,138 +199,12 @@ class EntryPoolRegistry {
 
   struct PoolRef {
     StatsFn stats;
-    ArenaStatsFn arena_stats;
     EnableFn enable;
   };
   mutable Spinlock lock_;
   bool default_enabled_ = true;
   std::vector<PoolRef> pools_;
   obs::MetricsRegistry::Handle obs_handles_[4];
-};
-
-/// Process-wide directory of named slab arenas. An arena is a partition of
-/// every EntryPool's per-thread slots: entries acquired while an arena is
-/// current (ArenaScope) come from slabs owned by that (arena, thread)
-/// slot, are stamped with the encoded owner tag, and recycle back to the
-/// same slot through the existing MPSC inboxes no matter who frees them.
-/// The ShardedSet names one arena per shard index ("shard0", "shard1",
-/// ...), so a shard's entries live in shard-owned slabs — first-touch
-/// placed by the acquiring thread and, when the arena carries a NUMA node,
-/// carved from that node's SlabSource cursor, whose chunks are
-/// mbind-preferred onto it (common/numa.h).
-///
-/// Arenas are find-or-create by name and never destroyed (ids are stable
-/// process-wide, like the pools themselves), so repeated ShardedSet
-/// construction reuses "shard<i>" rather than leaking table slots. Each
-/// arena registers two obs gauges at creation: slab count and the recycle-
-/// locality hit ratio (acquires served from the arena's own free lists /
-/// inboxes over all its acquires).
-class ArenaRegistry {
- public:
-  static ArenaRegistry& instance() {
-    static auto* reg = new ArenaRegistry();
-    return *reg;
-  }
-
-  /// Find-or-create by name; `numa_node >= 0` asks slabs to prefer that
-  /// node (recorded on first creation; later callers inherit it). Returns
-  /// the arena id, or 0 (the default arena) when the table is full.
-  int acquire(const std::string& name, int numa_node = -1) {
-    std::lock_guard<Spinlock> g(lock_);
-    for (int i = 0; i < count_; ++i)
-      if (names_[i] == name) return i;
-    if (count_ >= kMaxArenas) return 0;
-    const int id = count_++;
-    names_[id] = name;
-    nodes_[id] = numa_node;
-    register_gauges(id);
-    return id;
-  }
-
-  /// Preferred NUMA node for `arena`'s slabs; -1 = unbound.
-  int numa_node(int arena) const {
-    std::lock_guard<Spinlock> g(lock_);
-    return arena >= 0 && arena < count_ ? nodes_[arena] : -1;
-  }
-
-  std::string name(int arena) const {
-    std::lock_guard<Spinlock> g(lock_);
-    return arena >= 0 && arena < count_ ? names_[arena] : std::string();
-  }
-
-  int count() const {
-    std::lock_guard<Spinlock> g(lock_);
-    return count_;
-  }
-
-  ArenaRegistry(const ArenaRegistry&) = delete;
-  ArenaRegistry& operator=(const ArenaRegistry&) = delete;
-
- private:
-  ArenaRegistry() {
-    names_[0] = "default";
-    nodes_[0] = -1;
-    count_ = 1;
-    register_gauges(0);
-  }
-
-  void register_gauges(int id) {
-    using obs::MetricKind;
-    const std::string label = "arena=\"" + names_[id] + "\"";
-    slab_handles_[id] = obs::registry().add_callback(
-        MetricKind::kGauge, "bref_entry_pool_arena_slabs",
-        "Slabs allocated under this arena (sum over pools)", label, [id] {
-          return static_cast<double>(
-              EntryPoolRegistry::instance().arena_totals(id).slabs);
-        });
-    ratio_handles_[id] = obs::registry().add_callback(
-        MetricKind::kGauge, "bref_entry_pool_arena_hit_ratio",
-        "Share of this arena's acquires served from its own free lists, "
-        "recycle inboxes or current slab (locality: no allocator, no "
-        "foreign slab)",
-        label, [id] {
-          const EntryPoolStats s =
-              EntryPoolRegistry::instance().arena_totals(id);
-          const uint64_t total = s.hits + s.misses;
-          return total == 0 ? 1.0
-                            : static_cast<double>(s.hits) /
-                                  static_cast<double>(total);
-        });
-  }
-
-  mutable Spinlock lock_;
-  int count_ = 0;
-  std::string names_[kMaxArenas];
-  int nodes_[kMaxArenas] = {};
-  obs::MetricsRegistry::Handle slab_handles_[kMaxArenas];
-  obs::MetricsRegistry::Handle ratio_handles_[kMaxArenas];
-};
-
-namespace detail {
-/// The calling thread's current arena; 0 (default) unless an ArenaScope is
-/// live. Thread-local so shard routing can set it around delegation
-/// without threading a parameter through every structure's update path.
-inline thread_local int tls_arena = 0;
-}  // namespace detail
-
-inline int current_arena() noexcept { return detail::tls_arena; }
-
-/// RAII arena selection: every EntryPool::acquire on this thread inside
-/// the scope allocates from `arena`'s slots. Scopes nest (the previous
-/// arena is restored); release() ignores the scope entirely — entries
-/// always route home by their owner tag.
-class ArenaScope {
- public:
-  explicit ArenaScope(int arena) noexcept : prev_(detail::tls_arena) {
-    detail::tls_arena =
-        arena >= 0 && arena < kMaxArenas ? arena : 0;
-  }
-  ~ArenaScope() { detail::tls_arena = prev_; }
-  ArenaScope(const ArenaScope&) = delete;
-  ArenaScope& operator=(const ArenaScope&) = delete;
-
- private:
-  int prev_;
 };
 
 template <typename T>
@@ -403,15 +251,13 @@ class EntryPool {
     return *pool;
   }
 
-  /// Pop a class-`cls` block for thread `tid`, from the current arena's
-  /// slots (the default arena unless an ArenaScope is live). The returned
+  /// Pop a class-`cls` block from thread `tid`'s slot. The returned
   /// object's fields (other than pool_tid and the class) are unspecified;
   /// the caller initializes them before publication.
   T* acquire(int tid, int cls = 0) {
     assert(tid >= 0 && tid < kMaxThreads);
     assert(cls >= 0 && cls < kClasses);
-    const int arena = current_arena();
-    PerThread& pt = slot(arena, tid);
+    PerThread& pt = *slots_[tid];
     if (!enabled_.load(std::memory_order_relaxed)) {
       bump(pt.misses);
       bump(pt.malloced);
@@ -424,7 +270,7 @@ class EntryPool {
       // before we hand the entry out for reuse.
       e = pt.inbox[cls].exchange(nullptr, std::memory_order_acquire);
     }
-    if (e == nullptr) return carve(pt, arena, tid, cls);
+    if (e == nullptr) return carve(pt, tid, cls);
     bump(pt.hits);
     pt.free_head[cls] = link_of(e).load(std::memory_order_relaxed);
     unpoison(e);
@@ -464,26 +310,11 @@ class EntryPool {
   void set_pooling_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
-  bool pooling_enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   EntryPoolStats stats() const {
     EntryPoolStats s;
-    for (int a = 0; a < kMaxArenas; ++a) s += arena_stats(a);
-    return s;
-  }
-
-  /// Counters for one arena's slots of this pool (never-created arenas
-  /// read as zero without materializing them).
-  EntryPoolStats arena_stats(int arena) const {
-    EntryPoolStats s;
-    if (arena < 0 || arena >= kMaxArenas) return s;
-    const ArenaSlots* as =
-        arena == 0 ? &base_ : extra_[arena].load(std::memory_order_acquire);
-    if (as == nullptr) return s;
     for (int i = 0; i < kMaxThreads; ++i) {
-      const PerThread& pt = *as->slots[i];
+      const PerThread& pt = *slots_[i];
       s.hits += pt.hits.load(std::memory_order_relaxed);
       s.misses += pt.misses.load(std::memory_order_relaxed);
       s.recycled += pt.recycled.load(std::memory_order_relaxed);
@@ -514,20 +345,11 @@ class EntryPool {
     std::atomic<uint64_t> malloced{0};
   };
 
-  /// Per-arena block of per-thread slots, materialized lazily the first
-  /// time a thread acquires under that arena (and never freed: the tag on
-  /// a live entry must stay routable for the process lifetime, like the
-  /// pool itself).
-  struct ArenaSlots {
-    CachePadded<PerThread> slots[kMaxThreads];
-  };
-
   EntryPool() {
     enabled_.store(EntryPoolRegistry::instance().pooling_default(),
                    std::memory_order_relaxed);
     EntryPoolRegistry::instance().register_pool(
         [] { return instance().stats(); },
-        [](int arena) { return instance().arena_stats(arena); },
         [](bool on) { instance().set_pooling_enabled(on); });
   }
 
@@ -536,14 +358,9 @@ class EntryPool {
   }
 
   /// Slab size: one miss buys this many bytes of subsequent local hits.
-  /// The default — 16 KiB, 512 bundle entries — is small enough that a
-  /// thread that only ever needs a handful of entries wastes little.
-  static constexpr size_t slab_bytes() {
-    if constexpr (requires { T::kPoolSlabEntries; })
-      return size_t{T::kPoolSlabEntries} * stride();
-    else
-      return size_t{16} << 10;
-  }
+  /// 16 KiB — 512 bundle entries — is small enough that a thread that only
+  /// ever needs a handful of entries wastes little.
+  static constexpr size_t slab_bytes() { return size_t{16} << 10; }
 
   /// Single-writer increment: a plain add, not a locked RMW.
   static void bump(std::atomic<uint64_t>& c) {
@@ -574,31 +391,8 @@ class EntryPool {
       return e->next;
   }
 
-  /// The (arena, tid) slot block, creating the arena's block on first use.
-  /// Lock-free fast path: one acquire load when the block exists.
-  PerThread& slot(int arena, int tid) {
-    if (arena == 0) return *base_.slots[tid];
-    ArenaSlots* as = extra_[arena].load(std::memory_order_acquire);
-    if (as == nullptr) {
-      auto* fresh = new ArenaSlots();
-      ArenaSlots* expect = nullptr;
-      if (extra_[arena].compare_exchange_strong(expect, fresh,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-        as = fresh;
-      } else {
-        delete fresh;
-        as = expect;
-      }
-    }
-    return *as->slots[tid];
-  }
-
   void release_pooled(T* e) {
-    // Decode the owner tag (pool_owner_tag): the slot the entry's slab
-    // belongs to, independent of the releasing thread's arena scope.
-    const int32_t tag = e->pool_tid;
-    PerThread& pt = slot(tag / kMaxThreads, tag % kMaxThreads);
+    PerThread& pt = *slots_[e->pool_tid];
     std::atomic<T*>& inbox = pt.inbox[class_of(e)];
     poison(e);
     T* head = inbox.load(std::memory_order_relaxed);
@@ -611,17 +405,15 @@ class EntryPool {
     pt.recycled.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Construct a fresh class-`cls` block at (arena, tid)'s slab cursor,
-  /// first taking a new slab from the SlabSource when the current one
-  /// cannot fit it (the leftover, less than one block, is abandoned). The
-  /// SlabSource applies the arena's NUMA preference per chunk; the
-  /// construction here first-touches the block on the acquiring thread.
-  T* carve(PerThread& pt, int arena, int tid, int cls) {
+  /// Construct a fresh class-`cls` block at `tid`'s slab cursor, first
+  /// taking a new slab from the SlabSource when the current one cannot fit
+  /// it (the leftover, less than one block, is abandoned).
+  T* carve(PerThread& pt, int tid, int cls) {
     const size_t step = stride(cls);
     if (static_cast<size_t>(pt.carve_end - pt.carve_pos) < step) {
       const size_t bytes = std::max(slab_bytes(), step);
-      pt.carve_pos = static_cast<char*>(SlabSource::instance().allocate(
-          bytes, ArenaRegistry::instance().numa_node(arena)));
+      pt.carve_pos =
+          static_cast<char*>(SlabSource::instance().allocate(bytes));
       pt.carve_end = pt.carve_pos + bytes;
       poison_range(pt.carve_pos, bytes);
       bump(pt.slabs);
@@ -632,7 +424,7 @@ class EntryPool {
     void* mem = pt.carve_pos;
     pt.carve_pos += step;
     unpoison_range(mem, block_bytes(cls));
-    return construct(mem, pool_owner_tag(arena, tid), cls);
+    return construct(mem, tid, cls);
   }
 
   static void poison_range(void* p, size_t n) {
@@ -653,8 +445,7 @@ class EntryPool {
   static void unpoison(T* e) { unpoison_range(e, T::kPoolPoisonBytes); }
 
   std::atomic<bool> enabled_{true};
-  ArenaSlots base_;  // arena 0: the default (unscoped) slots
-  std::atomic<ArenaSlots*> extra_[kMaxArenas] = {};  // lazily materialized
+  CachePadded<PerThread> slots_[kMaxThreads];
 };
 
 }  // namespace bref

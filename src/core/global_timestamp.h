@@ -53,9 +53,6 @@ class GlobalTimestamp {
   /// counters stay local, so Fig. 5 relaxation composes per structure.
   void share_with(GlobalTimestamp& leader) noexcept { ts_ = leader.ts_; }
 
-  /// True when share_with redirected this instance onto another clock.
-  bool is_shared() const noexcept { return ts_ != &own_; }
-
   /// Timestamp for an update operation reaching its linearization point.
   /// Linearizable mode: atomic fetch-and-add, returning the new value
   /// (Alg. 1 line 4). Relaxed mode: only every T-th call per thread

@@ -9,12 +9,10 @@
 // than one heap block each) also drops the allocator's per-block header.
 //
 //   * The source maps one 2 MiB chunk at a time and bump-allocates slabs
-//     out of it, so the resident tail beyond what the pools use is at most
-//     one chunk per cursor. A slab that does not fit the rest of the chunk
-//     starts a new chunk; the leftover (less than one slab) is abandoned.
-//   * One cursor per NUMA node, plus one for unbound arenas. The node's
-//     mbind preference is applied once per chunk, before first touch: a
-//     per-slab mbind would split the huge page the chunk is meant to be.
+//     out of it through one cursor, so the resident tail beyond what the
+//     pools use is at most one chunk. A slab that does not fit the rest of
+//     the chunk starts a new chunk; the leftover (less than one slab) is
+//     abandoned. NUMA placement is the kernel's first-touch default.
 //   * Chunks are never unmapped, just as slabs were never freed: a pooled
 //     object's memory must stay valid for the life of the process.
 //   * The kernel's transparent-huge-page policy is the only switch. Under
@@ -29,12 +27,10 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <new>
 
 #include "common/cacheline.h"
-#include "common/numa.h"
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -68,27 +64,23 @@ class SlabSource {
     return *src;
   }
 
-  /// `bytes` of never-freed, cache-line-aligned memory, preferring
-  /// `numa_node` (< 0: unbound). Throws std::bad_alloc when the kernel
-  /// refuses a mapping.
-  void* allocate(size_t bytes, int numa_node) {
+  /// `bytes` of never-freed, cache-line-aligned memory. Throws
+  /// std::bad_alloc when the kernel refuses a mapping.
+  void* allocate(size_t bytes) {
     bytes = round_up(bytes, kCacheLine);
-    const int node =
-        numa_node >= 0 && numa_node < numa_node_count() ? numa_node : -1;
-    Cursor& c = cursors_[node + 1];
-    std::lock_guard<std::mutex> g(c.lock);
-    if (static_cast<size_t>(c.end - c.pos) < bytes) {
+    std::lock_guard<std::mutex> g(lock_);
+    if (static_cast<size_t>(end_ - pos_) < bytes) {
       const size_t len = round_up(bytes, kChunkBytes);
-      c.pos = map_chunk(len, node);
-      c.end = c.pos + len;
+      pos_ = map_chunk(len);
+      end_ = pos_ + len;
     }
-    void* p = c.pos;
-    c.pos += bytes;
+    void* p = pos_;
+    pos_ += bytes;
     return p;
   }
 
   Stats stats() const {
-    std::lock_guard<std::mutex> g(stats_lock_);
+    std::lock_guard<std::mutex> g(lock_);
     return stats_;
   }
 
@@ -96,13 +88,7 @@ class SlabSource {
   SlabSource& operator=(const SlabSource&) = delete;
 
  private:
-  struct Cursor {
-    std::mutex lock;
-    char* pos = nullptr;
-    char* end = nullptr;
-  };
-
-  SlabSource() : cursors_(new Cursor[numa_node_count() + 1]) {}
+  SlabSource() = default;
 
   static constexpr size_t round_up(size_t n, size_t to) {
     return (n + to - 1) / to * to;
@@ -110,7 +96,7 @@ class SlabSource {
 
   /// Map `len` bytes (a multiple of kChunkBytes) at a kChunkBytes-aligned
   /// address: over-map by one chunk and trim both ends.
-  char* map_chunk(size_t len, int node) {
+  char* map_chunk(size_t len) {
 #if defined(__linux__)
     const size_t span = len + kChunkBytes;
     void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
@@ -129,18 +115,17 @@ class SlabSource {
         ::operator new(len, std::align_val_t(kChunkBytes)));
     const int advice = 0;
 #endif
-    numa_bind_memory(chunk, len, node);
 #ifdef BREF_SLAB_SOURCE_LSAN
     __lsan_register_root_region(chunk, len);
 #endif
-    std::lock_guard<std::mutex> g(stats_lock_);
     ++stats_.chunks;
     if (advice != 0) stats_.madvise_errno = advice;
     return chunk;
   }
 
-  std::unique_ptr<Cursor[]> cursors_;  // [0] unbound, [n + 1] node n
-  mutable std::mutex stats_lock_;
+  mutable std::mutex lock_;  // guards the cursor and stats_
+  char* pos_ = nullptr;
+  char* end_ = nullptr;
   Stats stats_;
 };
 

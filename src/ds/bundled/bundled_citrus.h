@@ -207,16 +207,6 @@ class BundledCitrus {
   Ebr& ebr() { return ebr_; }
   bool reclaim_enabled() const { return reclaim_; }
 
-  /// Counters for this node type's bundle-entry pool (shared by every
-  /// instance over the same K/V; see core/entry_pool.h).
-  EntryPoolStats entry_pool_stats() const {
-    return EntryPool<BundleEntry<Node>>::instance().stats();
-  }
-  /// Pooled vs malloc ablation toggle; flip only while quiescent.
-  static void set_entry_pooling(bool on) {
-    EntryPool<BundleEntry<Node>>::instance().set_pooling_enabled(on);
-  }
-
   // -- test-only introspection (quiescent callers) --------------------------
   std::vector<std::pair<K, V>> to_vector() const {
     std::vector<std::pair<K, V>> v;

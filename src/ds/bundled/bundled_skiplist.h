@@ -48,7 +48,7 @@ class BundledSkipList {
     K key;
     V val;
     Bundle<Node> bundle;         // history of next(0) only (data layer)
-    const int32_t pool_tid;      // owner slot (pool_owner_tag) or heap
+    const int32_t pool_tid;      // owner slot's tid, or kPoolMalloced
     const uint8_t top_level;     // levels 0..top_level are linked
     Spinlock lock;
     std::atomic<bool> marked{false};
@@ -59,9 +59,8 @@ class BundledSkipList {
       return tower()[l];
     }
 
-    /// A node of height top + 1 from thread `tid`'s slot of the current
-    /// arena. Its links are unspecified: insert stores every one before
-    /// publication.
+    /// A node of height top + 1 from thread `tid`'s pool slot. Its links
+    /// are unspecified: insert stores every one before publication.
     static Node* create(int tid, K key, V val, int top) {
       return init(EntryPool<Node>::instance().acquire(tid, top), key, val);
     }
@@ -328,22 +327,6 @@ class BundledSkipList {
   RqTracker& rq_tracker() { return rq_; }
   Ebr& ebr() { return ebr_; }
   bool reclaim_enabled() const { return reclaim_; }
-
-  /// Counters for this node type's bundle-entry pool (shared by every
-  /// instance over the same K/V; see core/entry_pool.h).
-  EntryPoolStats entry_pool_stats() const {
-    return EntryPool<BundleEntry<Node>>::instance().stats();
-  }
-  /// Counters for the node pool (shared like the entry pool).
-  static EntryPoolStats node_pool_stats() {
-    return EntryPool<Node>::instance().stats();
-  }
-  /// Pooled vs malloc ablation toggle for entries and nodes; flip only
-  /// while quiescent.
-  static void set_entry_pooling(bool on) {
-    EntryPool<BundleEntry<Node>>::instance().set_pooling_enabled(on);
-    EntryPool<Node>::instance().set_pooling_enabled(on);
-  }
 
   // -- test-only introspection (quiescent callers) --------------------------
   std::vector<std::pair<K, V>> to_vector() const {

@@ -48,10 +48,9 @@ class EbrRqList {
 
     // EntryPool duck-typing (see core/entry_pool.h): link + ASan poison
     // extent (key/val only — every atomic stays a live object while
-    // pooled) + slab granularity + the EBR recycle hook.
+    // pooled) + the EBR recycle hook.
     std::atomic<Node*>& pool_link() { return limbo_next; }
     static constexpr size_t kPoolPoisonBytes = sizeof(K) + sizeof(V);
-    static constexpr size_t kPoolSlabEntries = 256;
     static void recycle(Node* n) { EntryPool<Node>::release(n); }
   };
   using Provider = EbrRqProvider<Node, K, V>;
@@ -159,13 +158,6 @@ class EbrRqList {
   /// Nodes currently parked in limbo across all slots (the shard layer's
   /// maintenance_backlog; approximate under concurrency).
   size_t limbo_size() const { return prov_.limbo_size(); }
-
-  static void set_node_pooling(bool on) {
-    EntryPool<Node>::instance().set_pooling_enabled(on);
-  }
-  static EntryPoolStats node_pool_stats() {
-    return EntryPool<Node>::instance().stats();
-  }
 
   Ebr& ebr() { return ebr_; }
   /// Backlog signal, bumped per limbo park (see rq_provider.h) — preferred

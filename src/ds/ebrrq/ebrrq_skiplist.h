@@ -51,9 +51,6 @@ class EbrRqSkipList {
 
     std::atomic<Node*>& pool_link() { return limbo_next; }
     static constexpr size_t kPoolPoisonBytes = sizeof(K) + sizeof(V);
-    // ~240-byte nodes: keep slabs around 32 KiB instead of the default
-    // 512-entry granularity sized for 32-byte bundle entries.
-    static constexpr size_t kPoolSlabEntries = 128;
     static void recycle(Node* n) { EntryPool<Node>::release(n); }
   };
   using Provider = EbrRqProvider<Node, K, V>;
@@ -212,13 +209,6 @@ class EbrRqSkipList {
   /// Nodes currently parked in limbo across all slots (the shard layer's
   /// maintenance_backlog; approximate under concurrency).
   size_t limbo_size() const { return prov_.limbo_size(); }
-
-  static void set_node_pooling(bool on) {
-    EntryPool<Node>::instance().set_pooling_enabled(on);
-  }
-  static EntryPoolStats node_pool_stats() {
-    return EntryPool<Node>::instance().stats();
-  }
 
   Ebr& ebr() { return ebr_; }
   /// Backlog signal, bumped per limbo park (see rq_provider.h) — preferred

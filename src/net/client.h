@@ -154,7 +154,7 @@ class Client {
     if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1)
       throw NetError(NetErrorKind::kConnect, "bad address: " + host);
     const uint64_t deadline = steady_ms() + opt_.connect_timeout_ms;
-    JitteredBackoff bo(kJitterSeed ^ 0xc0117ec7ull);  // connect jitter
+    JitteredBackoff bo;  // connect jitter
     for (;;) {
       const int e = try_connect(addr, deadline);
       if (e == 0) break;
@@ -333,8 +333,6 @@ class Client {
  private:
   friend class Pipeline;
 
-  // Fixed jitter seed: a retry schedule replays exactly.
-  static constexpr uint64_t kJitterSeed = 0x9e3779b97f4a7c15ull;
   // Free space each recv is offered; the receive buffer grows to keep it.
   static constexpr size_t kRecvChunk = 64u << 10;
 
@@ -503,7 +501,7 @@ class Client {
   }
 
   ClientOptions opt_;
-  JitteredBackoff backoff_{kJitterSeed};
+  JitteredBackoff backoff_;
   int fd_ = -1;
   uint64_t trace_base_ = 0;
   uint64_t trace_seq_ = 0;

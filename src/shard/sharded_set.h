@@ -64,9 +64,7 @@
 #include "api/session.h"
 #include "api/set_interface.h"
 #include "common/cacheline.h"
-#include "common/numa.h"
 #include "common/thread_registry.h"
-#include "core/entry_pool.h"
 #include "core/global_timestamp.h"
 #include "core/rq_tracker.h"
 #include "obs/metrics.h"
@@ -176,16 +174,6 @@ class ShardedSet final : public AnyOrderedSet {
     pools_.reserve(nshards_);
     for (size_t i = 0; i < nshards_; ++i)
       pools_.emplace_back(std::make_unique<SessionPool>(*shards_[i]));
-    // One entry-pool arena per shard index, find-or-create by name so
-    // every ShardedSet in the process shares "shard<i>" (arenas, like the
-    // pools underneath, are process-lifetime). On multi-node machines the
-    // arenas round-robin the nodes so a shard's slabs stay on one socket.
-    arena_ids_.resize(nshards_, 0);
-    const int nodes = numa_node_count();
-    for (size_t i = 0; i < nshards_; ++i)
-      arena_ids_[i] = ArenaRegistry::instance().acquire(
-          "shard" + std::to_string(i),
-          nodes > 1 ? static_cast<int>(i % static_cast<size_t>(nodes)) : -1);
     obs_srcs_[0] = sharded_routing_counter(0).add(
         [this] { return static_cast<double>(stats().single_shard_rqs); });
     obs_srcs_[1] = sharded_routing_counter(1).add(
@@ -197,18 +185,11 @@ class ShardedSet final : public AnyOrderedSet {
   }
 
   // -- point operations: single-shard fast path ---------------------------
-  // Updates run under the owning shard's arena scope, so every entry/node
-  // they allocate comes from (and recycles to) that shard's slabs.
-  // contains() allocates nothing and skips the scope.
   bool insert(int tid, KeyT key, ValT val) override {
-    const size_t s = shard_index(key);
-    ArenaScope arena(arena_ids_[s]);
-    return shards_[s]->insert(tid, key, val);
+    return shards_[shard_index(key)]->insert(tid, key, val);
   }
   bool remove(int tid, KeyT key) override {
-    const size_t s = shard_index(key);
-    ArenaScope arena(arena_ids_[s]);
-    return shards_[s]->remove(tid, key);
+    return shards_[shard_index(key)]->remove(tid, key);
   }
   bool contains(int tid, KeyT key, ValT* out) override {
     return shards_[shard_index(key)]->contains(tid, key, out);
@@ -345,11 +326,6 @@ class ShardedSet final : public AnyOrderedSet {
   /// check_invariants() pins, so direct shard access must respect the
   /// partition.
   SessionPool& shard_pool(size_t i) { return *pools_[i]; }
-  /// The entry-pool arena shard `i`'s updates allocate under (for callers
-  /// driving shards directly — bulk loaders via shard_pool(i) should wrap
-  /// their inserts in ArenaScope(shard_arena(i)) to keep the placement
-  /// discipline the routed path gets automatically).
-  int shard_arena(size_t i) const noexcept { return arena_ids_[i]; }
 
   /// The shard owning `key` (total over KeyT: out-of-bounds keys clamp to
   /// the first/last shard).
@@ -583,7 +559,6 @@ class ShardedSet final : public AnyOrderedSet {
   std::vector<std::unique_ptr<AnyOrderedSet>> shards_;
   std::vector<RqTracker*> trackers_;
   std::vector<std::unique_ptr<SessionPool>> pools_;
-  std::vector<int> arena_ids_;
   mutable CachePadded<std::vector<std::pair<KeyT, ValT>>>
       scratch_[kMaxThreads];
   mutable CachePadded<StatSlot> stats_[kMaxThreads] = {};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -260,6 +261,29 @@ TEST(Backoff, PausesWithoutHanging) {
   bo.reset();
   bo.pause();
   SUCCEED();
+}
+
+std::vector<uint32_t> sixteen_delays(JitteredBackoff& bo) {
+  std::vector<uint32_t> d;
+  for (int i = 0; i < 16; ++i) d.push_back(bo.next_ms());
+  return d;
+}
+
+TEST(JitteredBackoff, UnseededBackoffsDrawTheirOwnDelays) {
+  // Two retriers built back to back must not sleep in step.
+  JitteredBackoff a;
+  JitteredBackoff b;
+  EXPECT_NE(sixteen_delays(a), sixteen_delays(b));
+}
+
+TEST(JitteredBackoff, ExplicitSeedReplaysExactly) {
+  JitteredBackoff a(42);
+  JitteredBackoff b(42);
+  const std::vector<uint32_t> first = sixteen_delays(a);
+  EXPECT_EQ(first, sixteen_delays(b));
+  // Full jitter: delay i is uniform in [0, min(cap, base << i)].
+  for (size_t i = 0; i < first.size(); ++i)
+    EXPECT_LE(first[i], std::min<uint32_t>(128, 1u << i)) << "delay " << i;
 }
 
 }  // namespace

@@ -264,7 +264,8 @@ TEST(EbrRqLimbo, FlushKeepsNodesAnActiveQueryMayStillNeed) {
 
 TEST(EbrRqPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   using DS = EbrRqListSet;
-  DS::set_node_pooling(true);
+  auto& pool = EntryPool<DS::Node>::instance();
+  pool.set_pooling_enabled(true);
   DS ds;
   Xoshiro256 rng(41);
   auto round = [&] {
@@ -281,10 +282,10 @@ TEST(EbrRqPool, SteadyStateUpdatePathHasZeroPoolMisses) {
     ds.ebr().quiesce(0);
   };
   for (int r = 0; r < 30; ++r) round();  // warm-up: size the pool
-  const EntryPoolStats warm = DS::node_pool_stats();
+  const EntryPoolStats warm = pool.stats();
   ASSERT_GT(warm.hits + warm.misses, 0u);
   for (int r = 0; r < 60; ++r) round();  // steady state
-  EntryPoolStats steady = DS::node_pool_stats();
+  EntryPoolStats steady = pool.stats();
   steady -= warm;
   EXPECT_EQ(steady.misses, 0u)
       << "steady-state EBR-RQ updates hit the allocator " << steady.misses
@@ -296,14 +297,15 @@ TEST(EbrRqPool, SteadyStateUpdatePathHasZeroPoolMisses) {
 
 TEST(EbrRqPool, MallocBypassTagsNodesAndRoundTrips) {
   using DS = EbrRqSkipListSet;
+  auto& pool = EntryPool<DS::Node>::instance();
   // Mixed-origin structures tear down cleanly: nodes born under bypass
   // carry kPoolMalloced and route back to delete, pooled ones to their
   // slot — the toggle can never mismatch an acquire with a release.
-  DS::set_node_pooling(false);
+  pool.set_pooling_enabled(false);
   {
     DS ds;
     for (KeyT k = 1; k <= 32; ++k) ds.insert(0, k, k);
-    DS::set_node_pooling(true);
+    pool.set_pooling_enabled(true);
     for (KeyT k = 33; k <= 64; ++k) ds.insert(0, k, k);
     for (KeyT k = 1; k <= 64; k += 2) ds.remove(0, k);
     ds.flush_limbo(0);
@@ -312,7 +314,7 @@ TEST(EbrRqPool, MallocBypassTagsNodesAndRoundTrips) {
     EXPECT_TRUE(ds.check_invariants());
     EXPECT_EQ(ds.size_slow(), 32u);
   }
-  DS::set_node_pooling(true);
+  pool.set_pooling_enabled(true);
 }
 
 // ---------------------------------------------------------------------------

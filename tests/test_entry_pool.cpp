@@ -30,6 +30,11 @@ struct FakeNode {
 };
 using FakeEntry = BundleEntry<FakeNode>;
 
+using SkipList = BundledSkipList<KeyT, ValT>;
+using SkipNode = SkipList::Node;
+using NodePool = EntryPool<SkipNode>;
+using SkipEntryPool = EntryPool<BundleEntry<SkipNode>>;
+
 TEST(EntryLayout, TsAndNextShareOneCacheLine) {
   // The tentpole's layout claim: 32-byte entries tile cache lines exactly,
   // so the two fields a dereference touches per hop never straddle.
@@ -100,9 +105,8 @@ TEST(EntryPool, MallocBypassTagsAndRoundTrips) {
 // depend on. (The concurrent path is exercised by the churn test below
 // and measured by bench/ablation_entry_path.)
 TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
-  using SL = BundledSkipList<KeyT, ValT>;
-  SL::set_entry_pooling(true);
-  SL sl(1, /*reclaim=*/true);
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
+  SkipList sl(1, /*reclaim=*/true);
   constexpr int kCleanerTid = 1;  // the test's own second id
   Xoshiro256 rng(41);
   auto round = [&] {
@@ -121,11 +125,11 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
     sl.ebr().quiesce(0);
   };
   for (int r = 0; r < 30; ++r) round();  // warm-up: size the pools
-  const EntryPoolStats warm = sl.entry_pool_stats();
-  const EntryPoolStats warm_nodes = SL::node_pool_stats();
+  const EntryPoolStats warm = SkipEntryPool::instance().stats();
+  const EntryPoolStats warm_nodes = NodePool::instance().stats();
   ASSERT_GT(warm.hits + warm.misses, 0u);
   for (int r = 0; r < 60; ++r) round();  // steady state
-  EntryPoolStats steady = sl.entry_pool_stats();
+  EntryPoolStats steady = SkipEntryPool::instance().stats();
   steady -= warm;
   EXPECT_EQ(steady.misses, 0u)
       << "steady-state updates hit the allocator " << steady.misses
@@ -134,7 +138,7 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   EXPECT_GT(steady.recycled, 0u) << "no entry was ever recycled";
   // Removed nodes come back through the same pipeline (EBR drain -> owner
   // inbox), so inserts stop touching the allocator too.
-  EntryPoolStats nodes = SL::node_pool_stats();
+  EntryPoolStats nodes = NodePool::instance().stats();
   nodes -= warm_nodes;
   EXPECT_EQ(nodes.misses, 0u)
       << "steady-state inserts took " << nodes.misses << " node slabs";
@@ -151,10 +155,9 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
 // feeding a reader a stale-but-plausible timestamp; in all builds the
 // snapshot validation catches corruption after the fact.
 TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
-  using SL = BundledSkipList<KeyT, ValT>;
-  SL::set_entry_pooling(true);
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
   detail::AnySetAdapter<BundleSkipListSet> set(1, /*reclaim=*/true);
-  SL& sl = set.underlying();
+  SkipList& sl = set.underlying();
   for (KeyT k = 1; k <= 400; ++k) sl.insert(0, k * 2, k);
   // Table 1's d = 0: a maintenance pass per retire.
   MaintenanceService cleaner(
@@ -190,7 +193,7 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
   for (auto& t : readers) t.join();
   cleaner.stop();
   EXPECT_EQ(rq_failures.load(), 0);
-  EXPECT_GT(sl.entry_pool_stats().recycled, 0u);
+  EXPECT_GT(SkipEntryPool::instance().stats().recycled, 0u);
   EXPECT_TRUE(sl.check_invariants());
 }
 
@@ -198,16 +201,11 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
 // Skip-list nodes: exact-size blocks, one size class per tower height.
 // ---------------------------------------------------------------------------
 
-using SkipList = BundledSkipList<KeyT, ValT>;
-using SkipNode = SkipList::Node;
-using NodePool = EntryPool<SkipNode>;
-
 TEST(NodePool, EveryHeightRoundTripsAtExactSize) {
-  SkipList::set_entry_pooling(true);
-  // A fresh arena: its slot starts with empty free lists, so every create
-  // below carves, back to back, from one slab.
-  ArenaScope scope(ArenaRegistry::instance().acquire("test-node-sizes"));
-  constexpr int kTid = 5;
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
+  // A tid no other test in this suite uses: its slot starts with empty
+  // free lists, so every create below carves, back to back, from one slab.
+  constexpr int kTid = 8;
   char* expect = nullptr;
   for (int h = 0; h < SkipList::kMaxHeight; ++h) {
     const size_t bytes = 32 + 8 * static_cast<size_t>(h + 1);
@@ -220,7 +218,7 @@ TEST(NodePool, EveryHeightRoundTripsAtExactSize) {
     }
     expect = reinterpret_cast<char*>(n) + NodePool::stride(h);
     EXPECT_EQ(n->top_level, h);
-    EXPECT_EQ(n->pool_tid, pool_owner_tag(current_arena(), kTid));
+    EXPECT_EQ(n->pool_tid, kTid);
     EXPECT_EQ(n->key, h);
     EXPECT_EQ(n->val, -h);
     for (int l = 0; l <= h; ++l) n->next(l).store(n);  // whole tower is ours
@@ -234,9 +232,8 @@ TEST(NodePool, EveryHeightRoundTripsAtExactSize) {
 }
 
 TEST(NodePool, FreedBlockIsNeverReusedByAnotherHeight) {
-  SkipList::set_entry_pooling(true);
-  ArenaScope scope(ArenaRegistry::instance().acquire("test-node-classes"));
-  constexpr int kTid = 5;
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
+  constexpr int kTid = 9;  // like kTid above: a slot no other test touches
   for (int h = 0; h < SkipList::kMaxHeight; ++h) {
     SkipNode* freed = SkipNode::create(kTid, 1, 1, h);
     SkipNode::destroy(freed);
@@ -265,28 +262,25 @@ TEST(NodePool, FreedBlockIsNeverReusedByAnotherHeight) {
 // class already holds exactly the blocks the next round needs, and any
 // slab taken later is a free that did not come home.
 TEST(NodePool, RemoteRemovesRecycleToTheInsertersSlot) {
-  SkipList::set_entry_pooling(true);
-  const int arena = ArenaRegistry::instance().acquire("test-node-recycle");
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
   constexpr int kInserter = 3, kRemover = 4, kKeys = 2000, kRounds = 50;
   auto& pool = NodePool::instance();
   auto round = [&] {
     SkipList sl(1, /*reclaim=*/true);
     std::thread([&] {
-      ArenaScope scope(arena);
       for (KeyT k = 1; k <= kKeys; ++k) ASSERT_TRUE(sl.insert(kInserter, k, k));
     }).join();
     std::thread([&] {
-      ArenaScope scope(arena);
       for (KeyT k = 1; k <= kKeys; ++k) ASSERT_TRUE(sl.remove(kRemover, k));
       sl.ebr().quiesce(kRemover);  // ripen and drain the remover's bag
     }).join();
     EXPECT_EQ(sl.size_slow(), 0u);
   };
   round();  // warm-up: carve one round's worth of every size class
-  const EntryPoolStats warm = pool.arena_stats(arena);
+  const EntryPoolStats warm = pool.stats();
   ASSERT_GT(warm.slabs, 0u);
   for (int r = 0; r < kRounds; ++r) round();
-  EntryPoolStats grown = pool.arena_stats(arena);
+  EntryPoolStats grown = pool.stats();
   grown -= warm;
   EXPECT_EQ(grown.slabs, 0u) << "the inserter's slot kept taking slabs";
   EXPECT_EQ(grown.misses, 0u);
@@ -299,12 +293,12 @@ TEST(SlabSource, ChunksAreHugePageAlignedAndAdvised) {
   auto& src = SlabSource::instance();
   // A whole-chunk request cannot share the current chunk's remainder, so
   // it starts a chunk of its own; so does the next request after it.
-  void* whole = src.allocate(SlabSource::kChunkBytes, -1);
-  void* next = src.allocate(4096, -1);
+  void* whole = src.allocate(SlabSource::kChunkBytes);
+  void* next = src.allocate(4096);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(whole) % SlabSource::kChunkBytes, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(next) % SlabSource::kChunkBytes, 0u);
   // Slabs after that are carved back to back from the same chunk.
-  void* after = src.allocate(100, -1);
+  void* after = src.allocate(100);
   EXPECT_EQ(static_cast<char*>(after), static_cast<char*>(next) + 4096);
   std::memset(whole, 0xab, SlabSource::kChunkBytes);  // all of it is ours
   const SlabSource::Stats st = src.stats();
@@ -323,68 +317,6 @@ TEST(SlabSource, StructureAliveAtExitLeavesNoLeakReport) {
   static SkipList* kept = new SkipList(1, /*reclaim=*/false);
   for (KeyT k = 1; k <= 100; ++k) kept->insert(6, k, k);
   EXPECT_EQ(kept->size_slow(), 100u);
-}
-
-// ---------------------------------------------------------------------------
-// Named slab arenas (ISSUE 9): shard-local placement with home routing.
-// ---------------------------------------------------------------------------
-
-TEST(EntryPoolArena, RegistryFindsOrCreatesByName) {
-  auto& reg = ArenaRegistry::instance();
-  const int a = reg.acquire("test-arena-reuse");
-  ASSERT_GT(a, 0);  // arena 0 is the unnamed default
-  EXPECT_EQ(reg.acquire("test-arena-reuse"), a);  // same name -> same arena
-  const int b = reg.acquire("test-arena-other");
-  EXPECT_NE(b, a);
-  EXPECT_EQ(reg.name(a), "test-arena-reuse");
-  // Out of scope, the thread is back on the default arena; bogus ids clamp.
-  EXPECT_EQ(current_arena(), 0);
-  {
-    ArenaScope bad(kMaxArenas + 5);
-    EXPECT_EQ(current_arena(), 0);
-  }
-}
-
-TEST(EntryPoolArena, ScopedAcquireTagsOwnerAndRoutesReleaseHome) {
-  auto& pool = EntryPool<FakeEntry>::instance();
-  pool.set_pooling_enabled(true);
-  const int arena = ArenaRegistry::instance().acquire("test-arena-route");
-  ASSERT_GT(arena, 0);
-  FakeEntry* e = nullptr;
-  {
-    ArenaScope scope(arena);
-    EXPECT_EQ(current_arena(), arena);
-    e = pool.acquire(7);
-    // The owner tag encodes (arena, tid); arena 0 keeps tag == tid so the
-    // pre-arena layout (and every old assertion on pool_tid) still holds.
-    ASSERT_EQ(e->pool_tid, pool_owner_tag(arena, 7));
-  }
-  EXPECT_EQ(current_arena(), 0);
-  // Release from another thread with NO scope: the entry's own tag — not
-  // the releasing thread's arena — must route it to the home slot.
-  std::thread([e] { EntryPool<FakeEntry>::release(e); }).join();
-  {
-    ArenaScope scope(arena);
-    bool resurfaced = false;
-    std::vector<FakeEntry*> held;
-    for (size_t i = 0; i < EntryPool<FakeEntry>::slab_blocks() + 2; ++i) {
-      FakeEntry* got = pool.acquire(7);
-      EXPECT_EQ(got->pool_tid, pool_owner_tag(arena, 7));
-      held.push_back(got);
-      if (got == e) {
-        resurfaced = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(resurfaced);
-    for (FakeEntry* h : held) EntryPool<FakeEntry>::release(h);
-  }
-  // Per-arena accounting: the arena allocated at least one slab of its
-  // own, and the global roll-up covers it.
-  const EntryPoolStats as = pool.arena_stats(arena);
-  EXPECT_GE(as.slabs, 1u);
-  EXPECT_GT(as.hits + as.misses, 0u);
-  EXPECT_GE(pool.stats().slabs, as.slabs);
 }
 
 }  // namespace

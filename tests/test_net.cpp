@@ -834,8 +834,8 @@ TEST(Observability, UntracedClientsAndUnknownTraceIdsBehave) {
 
 // STATS and METRICS are read by dashboards and gate scripts, so their
 // names are an interface: this pins the STATS document's layout (every
-// number masked) and every bref_net_/bref_trace_ family's HELP, TYPE and
-// label sets.
+// number masked) and every bref_net_/bref_trace_/bref_entry_pool_ family's
+// HELP, TYPE and label sets.
 TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
   Server srv(small_opts(/*workers=*/2, /*shards=*/2));
   srv.start();
@@ -880,7 +880,9 @@ TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
   std::vector<bref::obs::PromSeries> series;
   ASSERT_TRUE(bref::obs::validate_prometheus(text, &err, &series)) << err;
   auto ours = [](const std::string& name) {
-    return name.rfind("bref_net_", 0) == 0 || name.rfind("bref_trace_", 0) == 0;
+    return name.rfind("bref_net_", 0) == 0 ||
+           name.rfind("bref_trace_", 0) == 0 ||
+           name.rfind("bref_entry_pool_", 0) == 0;
   };
   std::set<std::string> got;
   std::istringstream lines(text);
@@ -949,6 +951,14 @@ TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
   family("bref_trace_scratch_in_use", "gauge",
          "Trace scratch slots currently held (live chunked scans when idle)",
          {""});
+  family("bref_entry_pool_hits_total", "counter",
+         "Entry acquires served from a per-thread free list", {""});
+  family("bref_entry_pool_misses_total", "counter",
+         "Entry acquires that touched the allocator", {""});
+  family("bref_entry_pool_recycled_total", "counter",
+         "Entries returned to a pool inbox after EBR grace", {""});
+  family("bref_entry_pool_allocs_total", "counter",
+         "Heap allocations on the entry path (slabs + bypass)", {""});
   if (obs::kEnabled) {  // recorded only when the record paths are built
     family("bref_net_op_seconds", "histogram",
            "Per-op execute time on the worker loop",

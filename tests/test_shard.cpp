@@ -17,7 +17,9 @@
 //     cycles under load, and backs off when idle;
 //   * the bundled skip list's right-sized towers are never read past their
 //     top under churn, both range-query paths and pruning (faults under
-//     ASan otherwise).
+//     ASan otherwise);
+//   * routed updates recycle their bundle entries and skip-list nodes to
+//     the calling thread's pool slot, whichever shard a key routes to.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +32,8 @@
 #include <vector>
 
 #include "api/set.h"
+#include "core/entry_pool.h"
+#include "ds/bundled/bundled_skiplist.h"
 #include "shard/maintenance.h"
 #include "test_util.h"
 #include "validation/history.h"
@@ -893,6 +897,66 @@ TEST(SkipListTowers, ChurnAndBothRangePathsStayInsideEachTower) {
   EXPECT_GT(st.single_shard_rqs, 0u);
   EXPECT_GT(st.coordinated_rqs, 0u);
   EXPECT_GT(svc.total().passes, 0u);
+  EXPECT_TRUE(s.check_invariants());
+}
+
+// ---------------------------------------------------------------------------
+// Entry and node pools behind the routed update path.
+// ---------------------------------------------------------------------------
+
+// EntryPool.SteadyStateUpdatePathHasZeroPoolMisses, through ShardedSet's
+// routed insert and remove: one thread's updates land in all four shards,
+// every shard retires through its own EBR, and each pruned entry and
+// removed node must come back to that thread's slot, or the steady state
+// keeps taking slabs. Single-threaded with an explicit prune-and-quiesce
+// cadence so the recycle pipeline drains deterministically each round.
+TEST(ShardPools, RoutedUpdatesRecycleWithZeroSteadyStateMisses) {
+  using SkipList = BundledSkipList<KeyT, ValT>;
+  auto& entries = EntryPool<BundleEntry<SkipList::Node>>::instance();
+  auto& nodes = EntryPool<SkipList::Node>::instance();
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
+  constexpr KeyT kKeys = 512;
+  ShardedSet s("Bundle-skiplist",
+               small_range(4, 0, kKeys, SetOptions{.reclaim = true}));
+  // Ids no other test in this suite uses, so both slots start empty.
+  constexpr int kTid = 100, kCleanerTid = 101;
+  ThreadSession sess(s, kTid);
+  Xoshiro256 rng(43);
+  std::set<size_t> shards_hit;
+  auto round = [&] {
+    for (int i = 0; i < 200; ++i) {
+      const KeyT k = 1 + static_cast<KeyT>(rng.next_range(kKeys - 1));
+      shards_hit.insert(s.shard_index(k));
+      if (rng.next_range(2) == 0)
+        sess.insert(k, k);
+      else
+        sess.remove(k);
+    }
+    // Every shard prunes its bundles, then each id quiesces every shard's
+    // EBR: nothing is pinned between operations, so two quiesces ripen
+    // and drain every bag (pruned entries and removed nodes reach the
+    // updater's inboxes).
+    s.maintain(kCleanerTid);
+    s.maintain(kTid);
+  };
+  for (int r = 0; r < 30; ++r) round();  // warm-up: size the pools
+  ASSERT_EQ(shards_hit.size(), 4u);
+  const EntryPoolStats warm = entries.stats();
+  const EntryPoolStats warm_nodes = nodes.stats();
+  for (int r = 0; r < 60; ++r) round();  // steady state
+  EntryPoolStats steady = entries.stats();
+  steady -= warm;
+  EXPECT_EQ(steady.misses, 0u)
+      << "steady-state routed updates took " << steady.misses
+      << " entry slabs (hits=" << steady.hits << ")";
+  EXPECT_GT(steady.hits, 0u);
+  EXPECT_GT(steady.recycled, 0u) << "no entry was ever recycled";
+  EntryPoolStats grown = nodes.stats();
+  grown -= warm_nodes;
+  EXPECT_EQ(grown.misses, 0u)
+      << "steady-state routed inserts took " << grown.misses << " node slabs";
+  EXPECT_GT(grown.hits, 0u);
+  EXPECT_GT(grown.recycled, 0u) << "no node was ever recycled";
   EXPECT_TRUE(s.check_invariants());
 }
 
