@@ -1,8 +1,8 @@
 // Figure 6 (this repo's extension): ShardedSet scaling — throughput of the
 // range-partitioned sharded set vs the single-structure baseline, swept
 // over shard count x thread count x key skew, with the per-shard
-// MaintenanceService running (reclaiming configuration, backlog-driven
-// wakeups by default) and its per-shard stats recorded.
+// MaintenanceService running (reclaiming configuration, the default
+// MaintenanceOptions the server runs) and its per-shard stats recorded.
 //
 // Workload: the paper's mixed U-C-RQ microbenchmark over [1, keyrange],
 // with the shards partitioning exactly that range — point ops always hit
@@ -15,20 +15,17 @@
 // sharding wins) lands in the JSON for `tools/gate.py shard`.
 //
 //   fig6_sharded --impl Bundle-skiplist --shards 1,2,4,8 --threads 1,2,4
-//                [--zipf 0,0.99] [--maint-interval MS] [--backlog-wake N]
-//                [--no-maintain] [--json [path]]
+//                [--zipf 0,0.99] [--no-maintain] [--json [path]]
 //
 // --zipf takes a comma list of thetas; theta > 0 skews point ops AND
 // range-query anchors toward low keys (shard 0), the adversarial case for
-// static range partitioning. --maint-interval defaults to 0: workers
-// sleep until the retire/park paths signal `--backlog-wake` items
-// (maintenance.h), so idle shards cost zero wakeups.
+// static range partitioning.
 //
 // --json records one entry per cell; sharded cells carry "extra" fields:
 // shard count, baseline_mops / speedup_vs_unsharded / crossover_threads,
 // RQ routing counters (coordinated / single-shard / fallback / timestamps
 // acquired / shards pinned) and per-shard maintenance stats (passes,
-// pruned, flushed, idle backoffs, backlog vs timer wakeups).
+// pruned, flushed, idle backoffs).
 
 #include <memory>
 #include <string>
@@ -63,8 +60,6 @@ struct CellStats {
       maint[i].bundle_entries_pruned += s.bundle_entries_pruned;
       maint[i].limbo_flushed += s.limbo_flushed;
       maint[i].idle_backoffs += s.idle_backoffs;
-      maint[i].backlog_wakeups += s.backlog_wakeups;
-      maint[i].timer_wakeups += s.timer_wakeups;
     }
   }
 
@@ -91,14 +86,11 @@ struct CellStats {
       std::snprintf(
           buf, sizeof buf,
           "%s{\"passes\": %llu, \"pruned\": %llu, "
-          "\"flushed\": %llu, \"idle_backoffs\": %llu, "
-          "\"backlog_wakeups\": %llu, \"timer_wakeups\": %llu}",
+          "\"flushed\": %llu, \"idle_backoffs\": %llu}",
           i > 0 ? ", " : "", static_cast<unsigned long long>(maint[i].passes),
           static_cast<unsigned long long>(maint[i].bundle_entries_pruned),
           static_cast<unsigned long long>(maint[i].limbo_flushed),
-          static_cast<unsigned long long>(maint[i].idle_backoffs),
-          static_cast<unsigned long long>(maint[i].backlog_wakeups),
-          static_cast<unsigned long long>(maint[i].timer_wakeups));
+          static_cast<unsigned long long>(maint[i].idle_backoffs));
       out += buf;
     }
     return out + "]";
@@ -141,12 +133,6 @@ int main(int argc, char** argv) {
   const bool maintain = !args.has("--no-maintain");
   const std::vector<double> thetas = parse_zipf_list(args);
 
-  MaintenanceOptions mo;
-  mo.interval =
-      std::chrono::milliseconds(args.get_long("--maint-interval", 0));
-  mo.backlog_wake =
-      static_cast<size_t>(args.get_long("--backlog-wake", 256));
-
   ImplDescriptor desc;
   if (!ImplRegistry::instance().find(impl, &desc)) {
     std::fprintf(stderr, "unknown implementation: %s\n", impl.c_str());
@@ -155,10 +141,9 @@ int main(int argc, char** argv) {
   const SetOptions inner_opt{.reclaim = desc.caps.reclamation};
 
   std::printf("=== Figure 6: ShardedSet over %s (coordinated: %s), "
-              "maintenance %s (interval %lldms, wake @%zu) ===\n",
+              "maintenance %s ===\n",
               impl.c_str(), desc.caps.coordinated_rq ? "yes" : "per-shard merge",
-              maintain ? "on" : "off",
-              static_cast<long long>(mo.interval.count()), mo.backlog_wake);
+              maintain ? "on" : "off");
   print_header("shard-count x thread-count x zipf, mixed U-C-RQ", base);
 
   for (double theta : thetas) {
@@ -189,7 +174,7 @@ int main(int argc, char** argv) {
         cell.md = measure_detailed(
             [&] { return ImplRegistry::instance().create(impl, inner_opt); },
             threads, cfg, [&](auto& ds, int th, const Config& c) {
-              MaintenanceService svc(ds, mo);
+              MaintenanceService svc(ds);
               if (maintain) svc.start();
               Result r = run_mixed_trial(ds, th, c);
               svc.stop();
@@ -213,7 +198,7 @@ int main(int argc, char** argv) {
               return std::make_unique<ShardedSet>(impl, so);
             },
             threads, cfg, [&](ShardedSet& ds, int th, const Config& c) {
-              MaintenanceService svc(ds, mo);
+              MaintenanceService svc(ds);
               if (maintain) svc.start();
               Result r = run_mixed_trial(ds, th, c);
               svc.stop();

@@ -10,8 +10,10 @@
 // (src/shard/maintenance.h), the library's one maintenance thread: every
 // duty the implementation exposes (bundle pruning, epoch pushes) is
 // driven at a fixed cadence d (adaptive back-off disabled — the paper's
-// parameter is the delay itself). `--impl <registry-name>` restricts the
-// sweep to one panel.
+// parameter is the delay itself): `{.interval = d, .adaptive = false}`
+// for every d, so d = 0 runs passes back to back while they find work
+// (an idle pass still sleeps 1 ms).
+// `--impl <registry-name>` restricts the sweep to one panel.
 //
 // Methodology note: the leaky baseline is re-measured *next to* every
 // reclaiming cell (paired A/B) and both sides take the median of --runs
@@ -56,13 +58,9 @@ double measure_reclaiming(const std::string& name, int threads,
   for (int run = 0; run < trials; ++run) {
     auto ds = ImplRegistry::instance().create(name, SetOptions{.reclaim = true});
     prefill(*ds, cfg.key_range);
-    // d=0 used to mean "hot-loop back-to-back passes"; interval 0 now
-    // means "sleep until signalled", so express d=0 as a wake per retire —
-    // same reclamation latency, none of the idle spin.
-    MaintenanceOptions mo{.interval = std::chrono::milliseconds(delay_ms),
-                          .adaptive = false};
-    if (delay_ms == 0) mo.backlog_wake = 1;
-    MaintenanceService svc(*ds, mo);
+    MaintenanceService svc(
+        *ds, {.interval = std::chrono::milliseconds(delay_ms),
+              .adaptive = false});
     svc.start();
     mops.push_back(run_mixed_trial(*ds, threads, cfg).mops);
     svc.stop();

@@ -154,18 +154,6 @@ class AnySetAdapter final : public AnyOrderedSet {
       return 0;
     }
   }
-  void set_maintenance_signal(MaintenanceSignal* s) override {
-    // Prefer the DS's own hook (EBR-RQ: the provider bumps on every limbo
-    // park — the backlog maintenance_backlog() actually reports); fall
-    // back to the Ebr retire path (the bundled families: one retire per
-    // physical remove, the producer of prunable entries and limbo nodes).
-    if constexpr (requires(DS& d) { d.set_maintenance_signal(s); })
-      ds_.set_maintenance_signal(s);
-    else if constexpr (requires(DS& d) { d.ebr(); })
-      ds_.ebr().set_maintenance_signal(s);
-    else
-      (void)s;
-  }
 
   DS& underlying() { return ds_; }
 

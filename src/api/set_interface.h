@@ -15,7 +15,6 @@
 #include "api/capabilities.h"
 #include "api/range_snapshot.h"
 #include "api/types.h"
-#include "core/maintenance_signal.h"
 #include "core/rq_tracker.h"
 
 namespace bref {
@@ -110,13 +109,8 @@ class AnyOrderedSet {
   }
   /// Nodes currently parked awaiting maintenance (EBR-RQ limbo; 0 for
   /// techniques without such a backlog). Approximate under concurrency.
+  /// MaintenanceService reads it after every pass for its backlog gauge.
   virtual size_t maintenance_backlog() const { return 0; }
-  /// Attach (nullptr: detach) a backlog signal: the implementation's
-  /// retire/park paths bump it so a maintenance worker can sleep until
-  /// `backlog_wake` items are pending instead of interval-polling
-  /// (maintenance.h). The signal must outlive any operation that can
-  /// observe it; techniques with no background work ignore the call.
-  virtual void set_maintenance_signal(MaintenanceSignal* s) { (void)s; }
 
   // Identity.
   virtual const char* technique() const = 0;   // "Bundle", "RLU", ...

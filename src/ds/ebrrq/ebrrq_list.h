@@ -160,12 +160,6 @@ class EbrRqList {
   size_t limbo_size() const { return prov_.limbo_size(); }
 
   Ebr& ebr() { return ebr_; }
-  /// Backlog signal, bumped per limbo park (see rq_provider.h) — preferred
-  /// over the Ebr retire path because limbo_size() is this family's
-  /// maintenance_backlog().
-  void set_maintenance_signal(MaintenanceSignal* s) {
-    prov_.set_maintenance_signal(s);
-  }
   Provider& provider() { return prov_; }
 
   std::vector<std::pair<K, V>> to_vector() const {

@@ -68,7 +68,6 @@
 #include "common/rwlock.h"
 #include "common/spinlock.h"
 #include "common/thread_registry.h"
-#include "core/maintenance_signal.h"
 #include "epoch/ebr.h"
 #include "obs/metrics.h"
 
@@ -331,14 +330,6 @@ class EbrRqProvider {
     }
     return n;
   }
-  /// Attach (nullptr: detach) the backlog signal bumped on every limbo
-  /// park — the producer half of backlog-driven maintenance. The park
-  /// path is the right producer here (not Ebr::retire): limbo_size() is
-  /// what maintenance_backlog() reports, and nodes enter limbo at park
-  /// time, long before the flush retires them into EBR.
-  void set_maintenance_signal(MaintenanceSignal* s) noexcept {
-    msig_.store(s, std::memory_order_release);
-  }
 
   /// Reports currently parked across all slots (tests: must be zero once
   /// quiescent — every push is gated on a live query whose rq_end drains).
@@ -452,8 +443,6 @@ class EbrRqProvider {
       const uint64_t oldest = oldest_active_rq();
       prune_slot(lb, oldest, tid);
     }
-    if (MaintenanceSignal* sig = msig_.load(std::memory_order_relaxed))
-      sig->on_produce();
   }
 
   /// Move limbo nodes no active or future range query can include into EBR
@@ -506,7 +495,6 @@ class EbrRqProvider {
   TidHwm hwm_;
   std::atomic<uint64_t> ts_{1};  // 0 would collide with "before all time"
   mutable std::atomic<uint64_t> limbo_checked_{0};
-  std::atomic<MaintenanceSignal*> msig_{nullptr};
   CachePadded<AnnounceSlots> slots_[kMaxThreads];
   mutable CachePadded<Limbo> limbo_[kMaxThreads];
   CachePadded<RqSlot> rq_slots_[kMaxThreads];

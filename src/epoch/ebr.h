@@ -31,7 +31,6 @@
 
 #include "common/cacheline.h"
 #include "common/thread_registry.h"
-#include "core/maintenance_signal.h"
 #include "obs/metrics.h"
 
 namespace bref {
@@ -146,16 +145,6 @@ class Ebr {
     // another thread.
     s.retired_count.store(s.retired_count.load(std::memory_order_relaxed) + 1,
                           std::memory_order_relaxed);
-    if (MaintenanceSignal* sig = msig_.load(std::memory_order_relaxed))
-      sig->on_produce();
-  }
-
-  /// Attach (nullptr: detach) the backlog signal the retire path bumps —
-  /// the producer half of backlog-driven maintenance (maintenance.h). The
-  /// signal must outlive every retire that can observe it; the service
-  /// detaches before destroying it.
-  void set_maintenance_signal(MaintenanceSignal* s) noexcept {
-    msig_.store(s, std::memory_order_release);
   }
 
   template <typename T>
@@ -288,7 +277,6 @@ class Ebr {
 
   std::atomic<uint64_t> global_epoch_{0};
   std::atomic<uint64_t> freed_count_{0};
-  std::atomic<MaintenanceSignal*> msig_{nullptr};
   TidHwm hwm_;
   CachePadded<Slot> slots_[kMaxThreads];
   // Last members: destroyed FIRST, so the gauge callbacks (which read the

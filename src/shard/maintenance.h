@@ -11,22 +11,14 @@
 // never starve epoch advancement. Typed structures join through
 // detail::AnySetAdapter (registry.h) or a registry-created instance.
 //
-// Rate control: each worker sleeps `interval` between passes; with
-// `adaptive` set, a pass that found no work doubles the sleep up to
-// `max_interval` and any productive pass snaps it back — idle shards cost
-// ~zero CPU while hot shards are serviced at the base rate.
-//
-// Backlog-driven wakeups (`backlog_wake`): each worker owns a
-// MaintenanceSignal attached to its target's retire/park path. Producers
-// count retired items and notify the service's cv_ when `backlog_wake`
-// items accumulate, so the limbo bound is HARD (work starts within one
-// scheduler hop of the threshold, not at the next poll tick) and an idle
-// shard costs zero wakeups. With `interval == 0` the signal is the only
-// wake source: the worker blocks until notified instead of polling.
-// Lost-wakeup safety: the worker arms the signal while holding mu_ and
-// re-checks `due()` inside the wait predicate; notify() takes mu_ before
-// cv_.notify_all(), so a producer crossing the threshold after the arm
-// cannot slip between the worker's check and its sleep.
+// Rate control: a timer is the only wake-up source. Each worker sleeps
+// `interval` after a pass that found work; `interval` 0 runs productive
+// passes back to back (the paper's d = 0). With `adaptive` set, a pass
+// that found no work doubles the sleep up to kMaxIdleSleep (64 ms) and
+// any productive pass snaps it back — idle shards cost ~zero CPU while
+// hot shards are serviced at the base rate. An idle pass never sleeps
+// less than kMinIdleSleep (1 ms), so no setting spins on an idle
+// structure. stop() wakes sleeping workers through cv_.
 //
 // Worker thread ids: by default start() claims a registry-tracked id from
 // the TOP of the id space (ThreadRegistry::try_acquire_high) per worker,
@@ -70,40 +62,18 @@ inline obs::GaugeSet& maintenance_backlog_gauge(size_t shard) {
   while (gauges->size() <= shard) {
     gauges->push_back(new obs::GaugeSet(
         obs::GaugeSet::Agg::kSum, "bref_maintenance_backlog",
-        "Reclaimable items (limbo nodes + prunable bundle entries) behind "
-        "the maintenance worker, as of its last pass",
+        "EBR-RQ limbo nodes behind the maintenance worker, as of its last "
+        "pass (0 for techniques without limbo)",
         "shard=\"" + std::to_string(gauges->size()) + "\""));
   }
   return *(*gauges)[shard];
 }
 
-/// Wakeup-cause counters, one series per reason: `bref_maintenance_
-/// wakeups_total{reason="backlog"|"timer"}`. Backlog wakeups are passes
-/// the producers' signal started; timer wakeups are interval expiries.
-/// An idle service with backlog_wake set should show both flat.
-inline obs::GaugeSet& maintenance_wakeups_counter(bool backlog) {
-  static auto* by_backlog = new obs::GaugeSet(
-      obs::GaugeSet::Agg::kSum, "bref_maintenance_wakeups_total",
-      "Maintenance worker wakeups by cause", "reason=\"backlog\"",
-      obs::MetricKind::kCounter);
-  static auto* by_timer = new obs::GaugeSet(
-      obs::GaugeSet::Agg::kSum, "bref_maintenance_wakeups_total",
-      "Maintenance worker wakeups by cause", "reason=\"timer\"",
-      obs::MetricKind::kCounter);
-  return backlog ? *by_backlog : *by_timer;
-}
-
 struct MaintenanceOptions {
-  /// Base pause between passes (0 = back-to-back, Table 1's d=0).
+  /// Pause after a pass that found work (0 = back-to-back, Table 1's d=0).
   std::chrono::milliseconds interval{2};
-  /// Ceiling for the adaptive back-off.
-  std::chrono::milliseconds max_interval{64};
   /// Back off while passes find no work; snap back when one does.
   bool adaptive = true;
-  /// Wake a worker as soon as this many items were retired/parked on its
-  /// target since the last pass (0 disables the signal: pure interval
-  /// polling). With interval == 0 this is the ONLY wake source.
-  size_t backlog_wake = 0;
 };
 
 struct ShardMaintenanceStats {
@@ -111,9 +81,7 @@ struct ShardMaintenanceStats {
   uint64_t bundle_entries_pruned = 0;
   uint64_t limbo_flushed = 0;
   uint64_t idle_backoffs = 0;
-  uint64_t backlog = 0;  // reclaimables behind the worker, last pass
-  uint64_t backlog_wakeups = 0;  // passes triggered by the backlog signal
-  uint64_t timer_wakeups = 0;    // passes triggered by interval expiry
+  uint64_t backlog = 0;  // EBR-RQ limbo nodes behind the worker, last pass
 };
 
 class MaintenanceService {
@@ -151,19 +119,9 @@ class MaintenanceService {
         throw ThreadSlotsExhaustedError();
       }
     }
-    stop_.store(false, std::memory_order_relaxed);
-    if (opt_.backlog_wake != 0) {
-      for (auto& w : workers_) {
-        w->signal.pending.store(0, std::memory_order_relaxed);
-        w->signal.armed.store(false, std::memory_order_relaxed);
-        w->signal.threshold.store(opt_.backlog_wake,
-                                  std::memory_order_relaxed);
-        w->signal.notify = [](void* p) {
-          static_cast<MaintenanceService*>(p)->wake();
-        };
-        w->signal.arg = this;
-        w->target->set_maintenance_signal(&w->signal);
-      }
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = false;
     }
     for (auto& w : workers_)
       w->thread = std::thread([this, wp = w.get()] { run(*wp); });
@@ -175,16 +133,11 @@ class MaintenanceService {
     if (!running_) return;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      stop_.store(true, std::memory_order_relaxed);
+      stop_ = true;
     }
     cv_.notify_all();
     for (auto& w : workers_)
       if (w->thread.joinable()) w->thread.join();
-    // Detach the signals so producers stop bumping dead thresholds. The
-    // Worker (and its signal) outlives this to service dtor, so a racing
-    // producer that loaded the pointer before the detach stays safe.
-    if (opt_.backlog_wake != 0)
-      for (auto& w : workers_) w->target->set_maintenance_signal(nullptr);
     release_tids();
     running_ = false;
   }
@@ -204,8 +157,6 @@ class MaintenanceService {
     s.limbo_flushed = w.flushed->load(std::memory_order_relaxed);
     s.idle_backoffs = w.idle_backoffs->load(std::memory_order_relaxed);
     s.backlog = w.backlog->load(std::memory_order_relaxed);
-    s.backlog_wakeups = w.backlog_wakeups->load(std::memory_order_relaxed);
-    s.timer_wakeups = w.timer_wakeups->load(std::memory_order_relaxed);
     return s;
   }
   ShardMaintenanceStats total() const {
@@ -217,13 +168,15 @@ class MaintenanceService {
       t.limbo_flushed += s.limbo_flushed;
       t.idle_backoffs += s.idle_backoffs;
       t.backlog += s.backlog;
-      t.backlog_wakeups += s.backlog_wakeups;
-      t.timer_wakeups += s.timer_wakeups;
     }
     return t;
   }
 
  private:
+  /// Ceiling of the adaptive back-off, and floor of any idle pass's sleep.
+  static constexpr std::chrono::milliseconds kMaxIdleSleep{64};
+  static constexpr std::chrono::milliseconds kMinIdleSleep{1};
+
   struct Worker {
     explicit Worker(AnyOrderedSet* t) : target(t) {}
     AnyOrderedSet* target;
@@ -234,12 +187,7 @@ class MaintenanceService {
     CachePadded<std::atomic<uint64_t>> flushed{};
     CachePadded<std::atomic<uint64_t>> idle_backoffs{};
     CachePadded<std::atomic<uint64_t>> backlog{};
-    CachePadded<std::atomic<uint64_t>> backlog_wakeups{};
-    CachePadded<std::atomic<uint64_t>> timer_wakeups{};
-    MaintenanceSignal signal;  // producers' backlog counter (backlog_wake)
     obs::GaugeSet::Source backlog_src;  // reads `backlog` above only
-    obs::GaugeSet::Source wake_backlog_src;
-    obs::GaugeSet::Source wake_timer_src;
   };
 
   void register_gauges() {
@@ -249,24 +197,7 @@ class MaintenanceService {
         return static_cast<double>(
             w->backlog->load(std::memory_order_relaxed));
       });
-      w->wake_backlog_src = maintenance_wakeups_counter(true).add([w] {
-        return static_cast<double>(
-            w->backlog_wakeups->load(std::memory_order_relaxed));
-      });
-      w->wake_timer_src = maintenance_wakeups_counter(false).add([w] {
-        return static_cast<double>(
-            w->timer_wakeups->load(std::memory_order_relaxed));
-      });
     }
-  }
-
-  /// Producers' notify target. The empty critical section pairs with the
-  /// worker arming its signal under mu_: either the worker sees the
-  /// crossing in its due() predicate, or this notify happens after the
-  /// worker parked and wakes it.
-  void wake() {
-    { std::lock_guard<std::mutex> lk(mu_); }
-    cv_.notify_all();
   }
 
   void release_tids() noexcept {
@@ -277,30 +208,12 @@ class MaintenanceService {
   }
 
   void run(Worker& w) {
-    auto interval = opt_.interval;
-    const bool timed = opt_.interval.count() > 0;
-    std::unique_lock<std::mutex> lk(mu_);
+    auto delay = opt_.interval;
     for (;;) {
-      const auto due = [this, &w] {
-        return stop_.load(std::memory_order_relaxed) || w.signal.due();
-      };
-      if (!due()) {
-        // Arm under mu_; on_produce()'s notify path locks mu_ before
-        // cv_.notify_all(), so a threshold crossing after this store
-        // cannot fire before we are parked in the wait (see header).
-        w.signal.armed.store(true, std::memory_order_relaxed);
-        if (timed)
-          cv_.wait_for(lk, interval, due);
-        else
-          cv_.wait(lk, due);  // interval==0: block until notified
-        w.signal.armed.store(false, std::memory_order_relaxed);
+      {
+        std::unique_lock<std::mutex> lk(mu_);
+        if (cv_.wait_for(lk, delay, [this] { return stop_; })) return;
       }
-      if (stop_.load(std::memory_order_relaxed)) return;
-      const bool backlog_wake = w.signal.due();
-      w.signal.drain();
-      lk.unlock();
-      (backlog_wake ? w.backlog_wakeups : w.timer_wakeups)
-          ->fetch_add(1, std::memory_order_relaxed);
       const MaintenanceWork work = w.target->maintain(w.tid);
       w.passes->fetch_add(1, std::memory_order_relaxed);
       w.pruned->fetch_add(work.bundle_entries_pruned,
@@ -309,15 +222,14 @@ class MaintenanceService {
       // What the pass left behind, for the obs gauge.
       w.backlog->store(w.target->maintenance_backlog(),
                        std::memory_order_relaxed);
-      if (opt_.adaptive && timed) {
-        if (work.reclaimed() == 0) {
-          interval = std::min(interval * 2, opt_.max_interval);
-          w.idle_backoffs->fetch_add(1, std::memory_order_relaxed);
-        } else {
-          interval = opt_.interval;
-        }
+      if (work.reclaimed() != 0) {
+        delay = opt_.interval;
+      } else if (opt_.adaptive) {
+        delay = std::clamp(delay * 2, kMinIdleSleep, kMaxIdleSleep);
+        w.idle_backoffs->fetch_add(1, std::memory_order_relaxed);
+      } else {
+        delay = std::max(opt_.interval, kMinIdleSleep);
       }
-      lk.lock();
     }
   }
 
@@ -326,8 +238,8 @@ class MaintenanceService {
   mutable std::mutex lifecycle_mu_;
   bool running_ = false;
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::atomic<bool> stop_{false};
+  std::condition_variable cv_;  // wakes sleeping workers for stop() only
+  bool stop_ = false;           // guarded by mu_
 };
 
 }  // namespace bref

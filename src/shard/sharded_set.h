@@ -299,12 +299,6 @@ class ShardedSet final : public AnyOrderedSet {
     for (const auto& s : shards_) n += s->maintenance_backlog();
     return n;
   }
-  /// One signal fanned out to every shard's producers (for a single
-  /// worker maintaining the whole sharded set; the per-shard service
-  /// attaches one signal per maintenance_targets() entry instead).
-  void set_maintenance_signal(MaintenanceSignal* s) override {
-    for (auto& sh : shards_) sh->set_maintenance_signal(s);
-  }
   /// Per-shard maintenance targets (MaintenanceService spawns one worker
   /// per entry).
   std::vector<AnyOrderedSet*> maintenance_targets() {

@@ -159,9 +159,8 @@ TEST(EntryPool, RecycledEntriesNeverReachableByActiveReaders) {
   detail::AnySetAdapter<BundleSkipListSet> set(1, /*reclaim=*/true);
   SkipList& sl = set.underlying();
   for (KeyT k = 1; k <= 400; ++k) sl.insert(0, k * 2, k);
-  // Table 1's d = 0: a maintenance pass per retire.
-  MaintenanceService cleaner(
-      set, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  // Table 1's d = 0: maintenance passes back to back.
+  MaintenanceService cleaner(set, {.interval = std::chrono::milliseconds(0)});
   cleaner.start();
   std::atomic<bool> stop{false};
   std::atomic<long> rq_failures{0};

@@ -835,7 +835,9 @@ TEST(Observability, UntracedClientsAndUnknownTraceIdsBehave) {
 // STATS and METRICS are read by dashboards and gate scripts, so their
 // names are an interface: this pins the STATS document's layout (every
 // number masked) and every bref_net_/bref_trace_/bref_entry_pool_ family's
-// HELP, TYPE and label sets.
+// HELP, TYPE and label sets. bref_maintenance_ families are pinned by HELP
+// and TYPE only: their shard="i" series depend on the shard counts that
+// earlier tests in the process used.
 TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
   Server srv(small_opts(/*workers=*/2, /*shards=*/2));
   srv.start();
@@ -884,10 +886,15 @@ TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
            name.rfind("bref_trace_", 0) == 0 ||
            name.rfind("bref_entry_pool_", 0) == 0;
   };
+  auto maintenance = [](const std::string& name) {
+    return name.rfind("bref_maintenance_", 0) == 0;
+  };
   std::set<std::string> got;
   std::istringstream lines(text);
   for (std::string line; std::getline(lines, line);)
-    if (line.rfind("# ", 0) == 0 && ours(line.substr(7))) got.insert(line);
+    if (line.rfind("# ", 0) == 0 &&
+        (ours(line.substr(7)) || maintenance(line.substr(7))))
+      got.insert(line);
   for (const auto& s : series) {
     // One line per histogram series: its _count (no le label).
     if (!ours(s.name) || s.name.ends_with("_bucket") ||
@@ -959,6 +966,10 @@ TEST(Observability, StatsKeysAndMetricFamiliesArePinned) {
          "Entries returned to a pool inbox after EBR grace", {""});
   family("bref_entry_pool_allocs_total", "counter",
          "Heap allocations on the entry path (slabs + bypass)", {""});
+  family("bref_maintenance_backlog", "gauge",
+         "EBR-RQ limbo nodes behind the maintenance worker, as of its last "
+         "pass (0 for techniques without limbo)",
+         {});
   if (obs::kEnabled) {  // recorded only when the record paths are built
     family("bref_net_op_seconds", "histogram",
            "Per-op execute time on the worker loop",

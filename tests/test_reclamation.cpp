@@ -57,9 +57,8 @@ TEST(SpaceOverhead, CleanerWithActiveRqPreservesItsSnapshot) {
 TEST(Cleaner, ConcurrentCleanerNeverBreaksQueries) {
   detail::AnySetAdapter<BundleSkipListSet> set(1, /*reclaim=*/true);
   BundleSkipListSet& sl = set.underlying();
-  // Most aggressive cadence (Table 1's d = 0): a pass per retire.
-  MaintenanceService cleaner(
-      set, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  // Most aggressive cadence (Table 1's d = 0): passes back to back.
+  MaintenanceService cleaner(set, {.interval = std::chrono::milliseconds(0)});
   cleaner.start();
   std::atomic<bool> stop{false};
   std::atomic<long> rq_failures{0};

@@ -14,7 +14,7 @@
 //   * the MaintenanceService drives per-shard bundle pruning and the
 //     EBR-RQ limbo drain without caller cooperation (the ROADMAP's
 //     "nothing calls flush_limbo unprompted" item), survives start/stop
-//     cycles under load, and backs off when idle;
+//     cycles under load, backs off when idle, and is woken by stop();
 //   * the bundled skip list's right-sized towers are never read past their
 //     top under churn, both range-query paths and pruning (faults under
 //     ASan otherwise);
@@ -465,8 +465,7 @@ TEST(Snapshot, SlicedCollectionUnderChurnKeepsEveryStableKey) {
     ThreadSession sess(s, 0);
     for (KeyT k = 1; k < 400; k += 2) sess.insert(k, k);
   }
-  MaintenanceService svc(
-      s, {.interval = std::chrono::milliseconds(0), .backlog_wake = 1});
+  MaintenanceService svc(s, {.interval = std::chrono::milliseconds(0)});
   svc.start();
   std::atomic<bool> stop{false};
   std::vector<std::thread> updaters;
@@ -719,88 +718,41 @@ TEST(Maintenance, RegistryTidsComposeWithPooledSessions) {
 }
 
 TEST(Maintenance, AdaptiveRateBacksOffWhenIdle) {
-  ShardedSet s("Bundle-list",
-               small_range(2, 0, 100, SetOptions{.reclaim = true}));
-  MaintenanceService svc(
-      s, MaintenanceOptions{.interval = std::chrono::milliseconds(1),
-                            .max_interval = std::chrono::milliseconds(8),
-                            .adaptive = true});
-  svc.start();
-  // Nothing to do: passes must back off rather than spin at base rate.
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
-  svc.stop();
-  EXPECT_GT(svc.total().idle_backoffs, 0u);
-}
-
-TEST(Maintenance, BacklogWakeBoundsLimboHardWithoutPolling) {
-  // ISSUE 9 hard-bound regression: interval polling disabled (interval 0),
-  // backlog-driven wakeups only. The EBR-RQ park path signals the service
-  // at backlog_wake items, so total limbo must stay near the threshold —
-  // far below the ~kPruneEvery-per-(thread, shard) saw-tooth the inline
-  // cadence alone would allow (2 threads x 4 shards x 127 > 1000).
-  constexpr size_t kWake = 16;
-  constexpr size_t kHardBound = 256;  // threshold + generous scheduler slack
-  ShardedSet s("EBR-RQ-list", small_range(4, 0, 400));
-  MaintenanceService svc(
-      s, MaintenanceOptions{.interval = std::chrono::milliseconds(0),
-                            .backlog_wake = kWake});
-  svc.start();
-  std::atomic<size_t> max_backlog{0};
-  testutil::run_threads(2, [&](int tid) {
-    ThreadSession sess(s, tid);
-    Xoshiro256 rng(59 + tid);
-    for (int i = 0; i < 8000; ++i) {
-      const KeyT k = 1 + static_cast<KeyT>(rng.next_range(399));
-      if (rng.next_range(2) == 0)
-        sess.insert(k, k);
-      else
-        sess.remove(k);  // parks in limbo -> bumps the signal
-      if (i % 8 == 0) {
-        const size_t b = s.maintenance_backlog();
-        size_t prev = max_backlog.load(std::memory_order_relaxed);
-        while (b > prev && !max_backlog.compare_exchange_weak(
-                               prev, b, std::memory_order_relaxed)) {
-        }
-      }
-      // On an oversubscribed runner, give the worker a chance to take the
-      // CPU once signalled; real deployments have a core for it.
-      if (i % 16 == 0) std::this_thread::yield();
+  // Nothing to do: passes must back off rather than spin at the base rate.
+  // Interval 0 runs productive passes back to back, but an idle pass sleeps
+  // 1, 2, 4 ... 64 ms, about 8 passes per worker in 120 ms.
+  for (const auto interval :
+       {std::chrono::milliseconds(1), std::chrono::milliseconds(0)}) {
+    SCOPED_TRACE("interval " + std::to_string(interval.count()) + " ms");
+    ShardedSet s("Bundle-list",
+                 small_range(2, 0, 100, SetOptions{.reclaim = true}));
+    MaintenanceService svc(
+        s, MaintenanceOptions{.interval = interval, .adaptive = true});
+    svc.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    svc.stop();
+    for (size_t i = 0; i < svc.workers(); ++i) {
+      EXPECT_GT(svc.stats(i).idle_backoffs, 0u);
+      EXPECT_LT(svc.stats(i).passes, 20u) << "worker " << i;
     }
-  });
-  // The sub-threshold tail needs no wakeup; anything at/over the
-  // threshold must drain without a flush from us.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(3);
-  while (s.maintenance_backlog() > kWake + 64 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  svc.stop();
-  EXPECT_LE(max_backlog.load(), kHardBound)
-      << "limbo outran the backlog signal";
-  EXPECT_LE(s.maintenance_backlog(), kWake + 64);
-  const ShardMaintenanceStats t = svc.total();
-  EXPECT_GT(t.passes, 0u);
-  EXPECT_GT(t.backlog_wakeups, 0u);
-  EXPECT_EQ(t.timer_wakeups, 0u) << "interval 0 must never tick a timer";
-  EXPECT_TRUE(s.check_invariants());
+  }
 }
 
-TEST(Maintenance, IntervalZeroIdleServiceTakesZeroPasses) {
-  // The satellite-1 regression: interval == 0 used to skip the wait and
-  // hot-loop maintain(); it now means "block until signalled", so an idle
-  // service takes zero passes and zero wakeups of either kind.
+TEST(Maintenance, StopWakesASleepingWorker) {
+  // cv_ serves only stop(): a worker asleep for a 10 s interval must be
+  // woken, not waited out.
   ShardedSet s("Bundle-list",
                small_range(2, 0, 100, SetOptions{.reclaim = true}));
   MaintenanceService svc(
-      s, MaintenanceOptions{.interval = std::chrono::milliseconds(0),
-                            .backlog_wake = 8});
+      s, MaintenanceOptions{.interval = std::chrono::seconds(10),
+                            .adaptive = false});
   svc.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  // The first pass runs after one interval, so the workers are asleep now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto t0 = std::chrono::steady_clock::now();
   svc.stop();
-  const ShardMaintenanceStats t = svc.total();
-  EXPECT_EQ(t.passes, 0u) << "idle interval-0 worker must not spin";
-  EXPECT_EQ(t.backlog_wakeups, 0u);
-  EXPECT_EQ(t.timer_wakeups, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(svc.total().passes, 0u);
 }
 
 TEST(Maintenance, TypeErasedMaintainHookSumsShardDuties) {
