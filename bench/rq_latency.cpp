@@ -17,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/any_set.h"
 #include "api/set.h"
 #include "harness.h"
 #include "obs/metrics.h"
@@ -36,8 +35,7 @@ ProbeRun run_one(const std::string& impl, int churn_threads,
                  const Config& cfg) {
   Set ds = Set::create(impl);
   // Dense ids come from the per-OS-thread SessionPool cache (the
-  // application id discipline) rather than hand-pinned slots — the last
-  // holdout of the tl_thread_id-era explicit-id convention in this bench.
+  // application id discipline) rather than hand-pinned slots.
   SessionPool pool(ds);
   {
     // Registry prefill (mirrors harness prefill, via the erased facade).
@@ -115,7 +113,7 @@ int main(int argc, char** argv) {
               "p90(us)", "p99(us)", "max(us)", "queries");
   char mix_str[32];
   std::snprintf(mix_str, sizeof mix_str, "rq-probe+%dchurn", churn_threads);
-  for (const auto& impl : any_set_names()) {
+  for (const auto& impl : ImplRegistry::instance().names()) {
     ProbeRun run = run_one(impl, churn_threads, cfg);
     std::printf("%-24s %10.1f %10.1f %10.1f %10.1f %10llu\n", impl.c_str(),
                 run.lat.quantile(0.50) / 1000.0, run.lat.quantile(0.90) / 1000.0,

@@ -15,10 +15,12 @@
 // (an idle pass still sleeps 1 ms).
 // `--impl <registry-name>` restricts the sweep to one panel.
 //
-// Methodology note: the leaky baseline is re-measured *next to* every
-// reclaiming cell (paired A/B) and both sides take the median of --runs
-// trials; an up-front baseline drifts by tens of percent over the minutes
-// the grid takes, which swamps the single-digit effect under measurement.
+// Methodology note: every trial pairs one leaky run with one reclaiming run
+// (A/B), and a cell prints the median of its --runs per-trial overheads
+// (default 3) with their min and max beside it; an up-front baseline
+// drifts by tens of percent over the minutes the grid takes, which swamps
+// the single-digit effect under measurement, and the spread shows which
+// cells can resolve it.
 
 #include <algorithm>
 #include <chrono>
@@ -36,36 +38,25 @@ namespace {
 using namespace bref;
 using namespace bref::bench;
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
-double measure_leaky(const std::string& name, int threads, const Config& cfg,
-                     int trials) {
-  std::vector<double> mops;
-  for (int run = 0; run < trials; ++run) {
+/// One trial of a cell: a leaky run, then a reclaiming run at delay d.
+/// Returns the reclaiming run's % throughput overhead over the leaky one.
+double overhead_trial(const std::string& name, int threads, const Config& cfg,
+                      long delay_ms) {
+  double leaky = 0;
+  {
     auto ds = ImplRegistry::instance().create(name);
     prefill(*ds, cfg.key_range);
-    mops.push_back(run_mixed_trial(*ds, threads, cfg).mops);
+    leaky = run_mixed_trial(*ds, threads, cfg).mops;
   }
-  return median(std::move(mops));
-}
-
-double measure_reclaiming(const std::string& name, int threads,
-                          const Config& cfg, long delay_ms, int trials) {
-  std::vector<double> mops;
-  for (int run = 0; run < trials; ++run) {
-    auto ds = ImplRegistry::instance().create(name, SetOptions{.reclaim = true});
-    prefill(*ds, cfg.key_range);
-    MaintenanceService svc(
-        *ds, {.interval = std::chrono::milliseconds(delay_ms),
-              .adaptive = false});
-    svc.start();
-    mops.push_back(run_mixed_trial(*ds, threads, cfg).mops);
-    svc.stop();
-  }
-  return median(std::move(mops));
+  auto ds = ImplRegistry::instance().create(name, SetOptions{.reclaim = true});
+  prefill(*ds, cfg.key_range);
+  MaintenanceService svc(
+      *ds, {.interval = std::chrono::milliseconds(delay_ms),
+            .adaptive = false});
+  svc.start();
+  const double reclaimed = run_mixed_trial(*ds, threads, cfg).mops;
+  svc.stop();
+  return (1.0 - reclaimed / leaky) * 100.0;
 }
 
 }  // namespace
@@ -75,7 +66,7 @@ int main(int argc, char** argv) {
   Config base = config_from_args(args);
   if (!args.has("--keyrange")) base.key_range = 20000;
   if (!args.has("--duration")) base.duration_ms = 150;
-  const int trials = args.has("--runs") ? base.runs : 3;
+  if (!args.has("--runs")) base.runs = 3;
   const std::string only = args.get_str("--impl", "");
 
   std::vector<ImplDescriptor> competitors;
@@ -87,7 +78,8 @@ int main(int argc, char** argv) {
   std::printf("=== Table 1: %% overhead of memory reclamation (registry: "
               "%zu reclamation-capable linearizable builtins) ===\n",
               competitors.size());
-  print_header("U-(90-U)-10 mixes, paired A/B, median of trials", base);
+  print_header("U-(90-U)-10 mixes, paired A/B per trial, median [min,max]",
+               base);
   const int kUpdatePcts[5] = {0, 10, 50, 90, 100};
   const long kDelaysMs[4] = {0, 1, 10, 100};
   // Highest sweep point by default. On machines with fewer cores than
@@ -99,7 +91,7 @@ int main(int argc, char** argv) {
   for (const auto& d : competitors) {
     std::printf("\n-- %s --\n", d.name.c_str());
     std::printf("%10s |", "delay");
-    for (int u : kUpdatePcts) std::printf(" %6d%%", u);
+    for (int u : kUpdatePcts) std::printf(" %21d%%", u);
     std::printf("   (update share)\n");
     for (long delay : kDelaysMs) {
       std::printf("%8ldms |", delay);
@@ -108,11 +100,12 @@ int main(int argc, char** argv) {
         cfg.u_pct = u_pct;
         cfg.c_pct = u_pct <= 90 ? 90 - u_pct : 0;
         cfg.rq_pct = 100 - cfg.u_pct - cfg.c_pct;
-        const double leaky = measure_leaky(d.name, threads, cfg, trials);
-        const double reclaimed =
-            measure_reclaiming(d.name, threads, cfg, delay, trials);
-        const double overhead = (1.0 - reclaimed / leaky) * 100.0;
-        std::printf(" %6.1f%%", overhead);
+        std::vector<double> pct;
+        for (int run = 0; run < base.runs; ++run)
+          pct.push_back(overhead_trial(d.name, threads, cfg, delay));
+        std::sort(pct.begin(), pct.end());
+        std::printf(" %6.1f%% [%6.1f,%6.1f]", pct[pct.size() / 2],
+                    pct.front(), pct.back());
         std::fflush(stdout);
       }
       std::printf("\n");

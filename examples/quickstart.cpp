@@ -11,15 +11,14 @@
 #include <thread>
 #include <vector>
 
-#include "api/any_set.h"
 #include "api/set.h"
 
 int main() {
   using namespace bref;
 
   // Pick an implementation from the registry by name; every name in
-  // any_set_names() works here. Options are validated against the
-  // implementation's capabilities.
+  // ImplRegistry::instance().names() works here. Options are validated
+  // against the implementation's capabilities.
   Set set = Set::create("Bundle-skiplist");
   std::printf("created %s (capabilities: %s)\n", set.name().c_str(),
               set.capabilities().to_string().c_str());

@@ -23,12 +23,17 @@
 
 namespace bref::detail {
 
+/// DS's range query returns the snapshot timestamp it linearized at
+/// (Capabilities::rq_timestamp): the out-vector form takes a trailing
+/// `timestamp_t* ts_out` that receives the stamp.
 template <typename DS, typename = void>
-struct HasLastRqTimestamp : std::false_type {};
+struct HasStampedRangeQuery : std::false_type {};
 template <typename DS>
-struct HasLastRqTimestamp<
-    DS, std::void_t<decltype(std::declval<const DS&>().last_rq_timestamp(0))>>
-    : std::true_type {};
+struct HasStampedRangeQuery<
+    DS, std::void_t<decltype(std::declval<DS&>().range_query(
+            0, KeyT{}, KeyT{},
+            std::declval<std::vector<std::pair<KeyT, ValT>>&>(),
+            std::declval<timestamp_t*>()))>> : std::true_type {};
 
 template <typename DS, typename = void>
 struct HasGlobalTimestamp : std::false_type {};
@@ -69,7 +74,7 @@ struct HasRangeQueryAt<
 template <typename DS>
 inline constexpr bool coordinated_rq_v =
     HasRangeQueryAt<DS>::value && HasRqTracker<DS>::value &&
-    HasGlobalTimestamp<DS>::value && HasLastRqTimestamp<DS>::value;
+    HasGlobalTimestamp<DS>::value && HasStampedRangeQuery<DS>::value;
 
 /// DS honors SetOptions::relax_threshold: takes the (relax_threshold,
 /// reclaim) constructor AND owns a global timestamp to relax.
@@ -87,13 +92,13 @@ inline constexpr bool accepts_reclamation_v =
     HasReclaimEnabled<DS>::value;
 
 /// Shared range-query-into-snapshot protocol: re-arm the snapshot, run the
-/// query into its buffer, stamp the timestamp when the type reports one.
-/// Both the type-erased adapter and TypedSession go through here so the
-/// two paths cannot diverge. A type that implements the snapshot form
-/// itself (AnyOrderedSet, and through it ShardedSet, whose coordinated
-/// stamp exists only on this path) owns the whole protocol — call through
-/// so TypedSession<AnyOrderedSet> callers see its stamping, not a rebuilt
-/// vector-form result.
+/// query into its buffer, stamp the timestamp the same call returned when
+/// the type reports one. Both the type-erased adapter and TypedSession go
+/// through here so the two paths cannot diverge. A type that implements
+/// the snapshot form itself (AnyOrderedSet, and through it ShardedSet,
+/// whose coordinated stamp exists only on this path) owns the whole
+/// protocol — call through so TypedSession<AnyOrderedSet> callers see its
+/// stamping.
 template <typename DS>
 size_t fill_range_query(DS& ds, int tid, KeyT lo, KeyT hi,
                         RangeSnapshot& out) {
@@ -101,11 +106,13 @@ size_t fill_range_query(DS& ds, int tid, KeyT lo, KeyT hi,
                   { ds.range_query(tid, lo, hi, out) } -> std::same_as<size_t>;
                 }) {
     return ds.range_query(tid, lo, hi, out);
+  } else if constexpr (HasStampedRangeQuery<DS>::value) {
+    timestamp_t ts = RangeSnapshot::kNoTimestamp;
+    ds.range_query(tid, lo, hi, out.reset(lo, hi), &ts);
+    out.set_timestamp(ts);
+    return out.size();
   } else {
-    out.reset(lo, hi);
-    ds.range_query(tid, lo, hi, out.buffer());
-    if constexpr (HasLastRqTimestamp<DS>::value)
-      out.set_timestamp(ds.last_rq_timestamp(tid));
+    ds.range_query(tid, lo, hi, out.reset(lo, hi));
     return out.size();
   }
 }

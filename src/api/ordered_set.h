@@ -16,6 +16,8 @@
 //                       bool   remove(tid, key)
 //                       bool   contains(tid, key, V* out = nullptr)
 //                       size_t range_query(tid, lo, hi, vector<pair>& out)
+//                       (Bundle and EBR-RQ add `timestamp_t* ts_out =
+//                       nullptr`, which receives the snapshot stamp)
 //                       plus quiescent introspection (to_vector /
 //                       size_slow / check_invariants).
 

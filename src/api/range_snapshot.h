@@ -6,7 +6,7 @@
 //   * the collected (key, value) pairs, sorted and duplicate-free, with
 //     iterator access (structured-binding friendly);
 //   * the logical timestamp the snapshot linearized at, for techniques
-//     that fix one (the bundled structures) — this is what the
+//     that fix one (Bundle and EBR-RQ) — this is what the
 //     history-audit example and the Wing-Gong validator previously had to
 //     reconstruct by hand from out-vectors;
 //   * a reusable buffer: passing the same RangeSnapshot to repeated
@@ -27,7 +27,7 @@ class RangeSnapshot {
   using const_iterator = std::vector<value_type>::const_iterator;
 
   /// Sentinel for techniques whose range queries have no notion of a
-  /// snapshot timestamp (Unsafe, EBR-RQ, RLU, Snapcollector).
+  /// snapshot timestamp (Unsafe, RLU, Snapcollector, LFCA).
   static constexpr timestamp_t kNoTimestamp = ~timestamp_t{0};
 
   RangeSnapshot() = default;

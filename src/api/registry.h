@@ -10,10 +10,11 @@
 //
 // (see builtin_impls.h for the 18 builtin configurations) or, scoped to a
 // test, `bref::ScopedRegistration<MyWrapperSet> reg;`. Everything else —
-// any_set_names(), capability validation, the README capability table —
-// is *derived* from the descriptors, so adding another implementation
-// touches no registry code. The LFCA tree (builtin #18) went in exactly
-// this way: a new header under src/ds/lfca/ plus one registration line.
+// ImplRegistry::names(), capability validation, the README capability
+// table — is *derived* from the descriptors, so adding another
+// implementation touches no registry code. The LFCA tree (builtin #18) went
+// in exactly this way: a new header under src/ds/lfca/ plus one
+// registration line.
 //
 // Capabilities are derived from the implementation type itself (the
 // two-factor constructor-shape + runtime-hook tests in impl_traits.h):
@@ -22,7 +23,8 @@
 //                        global_timestamp() hook;
 //   * reclamation      — a constructor taking the reclaim flag AND a
 //                        reclaim_enabled() hook;
-//   * rq_timestamp     — DS exposes last_rq_timestamp(tid).
+//   * rq_timestamp     — DS's range_query takes a trailing timestamp_t*
+//                        that receives the snapshot stamp.
 // A knob an implementation cannot honor is by definition a capability it
 // lacks, so the silent-drop failure mode of the old make_any_set if-chain
 // (options ignored for 14 of 17 implementations) cannot reappear: create()
@@ -49,7 +51,7 @@ template <typename DS>
 constexpr Capabilities caps_of() {
   return Capabilities{DS::kLinearizableRq, detail::accepts_relaxation_v<DS>,
                       detail::accepts_reclamation_v<DS>,
-                      detail::HasLastRqTimestamp<DS>::value,
+                      detail::HasStampedRangeQuery<DS>::value,
                       detail::coordinated_rq_v<DS>};
 }
 
@@ -68,10 +70,6 @@ class AnySetAdapter final : public AnyOrderedSet {
   bool remove(int tid, KeyT key) override { return ds_.remove(tid, key); }
   bool contains(int tid, KeyT key, ValT* out) override {
     return ds_.contains(tid, key, out);
-  }
-  size_t range_query(int tid, KeyT lo, KeyT hi,
-                     std::vector<std::pair<KeyT, ValT>>& out) override {
-    return ds_.range_query(tid, lo, hi, out);
   }
   size_t range_query(int tid, KeyT lo, KeyT hi, RangeSnapshot& out) override {
     return fill_range_query(ds_, tid, lo, hi, out);

@@ -39,9 +39,10 @@
 
 namespace bref {
 
-namespace detail {
-
-/// Owns (or borrows) a dense thread id from the global ThreadRegistry.
+/// The one RAII owner of a dense thread id from the global ThreadRegistry:
+/// the default constructor acquires one (throwing ThreadSlotsExhaustedError
+/// when every id is held) and the destructor releases it; the explicit-id
+/// form borrows an id the caller manages and never releases it.
 class SessionId {
  public:
   SessionId() : tid_(ThreadRegistry::instance().acquire()), owned_(true) {}
@@ -68,50 +69,6 @@ class SessionId {
  private:
   int tid_;
   bool owned_;
-};
-
-}  // namespace detail
-
-/// Explicit acquire/release guard over a dense thread id, for components
-/// that must degrade gracefully when the id space is exhausted instead of
-/// unwinding (ThreadRegistry::acquire throws ThreadSlotsExhaustedError).
-/// The network server acquires one guard per worker loop at startup and
-/// multiplexes every connection pinned to that worker over it — client
-/// connections never consume id slots, so accepting the 65th (or 6500th)
-/// connection cannot exhaust the registry.
-///
-///   SessionGuard g;
-///   if (!g.acquired()) { /* report, shed load, retry later */ }
-///   else               { set.insert(g.tid(), k, v); ... }
-class SessionGuard {
- public:
-  SessionGuard() : tid_(ThreadRegistry::instance().try_acquire()) {}
-  ~SessionGuard() { reset(); }
-
-  SessionGuard(SessionGuard&& o) noexcept : tid_(std::exchange(o.tid_, -1)) {}
-  SessionGuard& operator=(SessionGuard&& o) noexcept {
-    if (this != &o) {
-      reset();
-      tid_ = std::exchange(o.tid_, -1);
-    }
-    return *this;
-  }
-  SessionGuard(const SessionGuard&) = delete;
-  SessionGuard& operator=(const SessionGuard&) = delete;
-
-  /// False when the registry was exhausted at construction.
-  bool acquired() const noexcept { return tid_ >= 0; }
-  explicit operator bool() const noexcept { return acquired(); }
-  int tid() const noexcept { return tid_; }
-
-  /// Release the id early (idempotent).
-  void reset() noexcept {
-    if (tid_ >= 0) ThreadRegistry::instance().release(tid_);
-    tid_ = -1;
-  }
-
- private:
-  int tid_ = -1;
 };
 
 /// Session over the type-erased interface; obtained from bref::Set.
@@ -152,7 +109,7 @@ class ThreadSession {
 
  private:
   AnyOrderedSet* set_;
-  detail::SessionId id_;
+  SessionId id_;
 };
 
 /// Zero-overhead session over a concrete implementation type. Mirrors
@@ -192,36 +149,23 @@ class TypedSession {
 
  private:
   DS* set_;
-  detail::SessionId id_;
+  SessionId id_;
 };
 
-/// Deduction-friendly maker (pre-CTAD call sites read better with it).
-template <typename DS>
-TypedSession<DS> make_session(DS& set) {
-  return TypedSession<DS>(set);
-}
-template <typename DS>
-TypedSession<DS> make_session(DS& set, int tid) {
-  return TypedSession<DS>(set, tid);
-}
-
 /// Per-thread session cache for applications that spawn short-lived
-/// threads. The old application convenience, tl_thread_id(), acquires a
-/// dense id the first time a thread touches a structure and never gives it
-/// back — a server recycling worker threads burns through the kMaxThreads
-/// id space. A SessionPool hands each OS thread one cached id and releases
-/// it to the global ThreadRegistry when the thread exits:
+/// threads. A SessionPool hands each OS thread one cached id and releases
+/// it to the global ThreadRegistry when the thread exits, so a server
+/// recycling worker threads never burns through the kMaxThreads id space:
 ///
 ///   MiniKv() : index_(Set::create("Bundle-skiplist")), pool_(index_) {}
 ///   void put(...) { auto s = pool_.session(); s.insert(...); }
 ///
-/// session() is as cheap as the tl_thread_id() pattern it replaces (one
-/// thread_local lookup; no registry round-trip after the thread's first
-/// call) because the returned session borrows the cached id rather than
-/// owning it. The cache is per OS thread, not per pool: two pools on the
-/// same thread share one id, which is exactly how explicit-tid callers
-/// use one id across many structures. Sessions must not outlive the
-/// calling thread (they borrow its id).
+/// session() costs one thread_local lookup (no registry round-trip after
+/// the thread's first call) because the returned session borrows the
+/// cached id rather than owning it. The cache is per OS thread, not per
+/// pool: two pools on the same thread share one id, which is exactly how
+/// explicit-tid callers use one id across many structures. Sessions must
+/// not outlive the calling thread (they borrow its id).
 class SessionPool {
  public:
   explicit SessionPool(AnyOrderedSet& set) : set_(&set) {}
@@ -237,25 +181,14 @@ class SessionPool {
   /// The calling thread's cached dense id (acquiring it if needed) —
   /// for callers that also drive explicit-tid surfaces. Throws
   /// ThreadSlotsExhaustedError on a fresh thread when the id space is
-  /// exhausted; callers that must not unwind hold a SessionGuard instead.
+  /// exhausted; the id is released when the thread exits.
   static int thread_tid() {
-    TlsSlot& s = slot();
-    if (s.tid < 0) s.tid = ThreadRegistry::instance().acquire();
-    return s.tid;
+    thread_local std::optional<SessionId> id;
+    if (!id) id.emplace();
+    return id->tid();
   }
 
  private:
-  struct TlsSlot {
-    int tid = -1;
-    ~TlsSlot() {
-      if (tid >= 0) ThreadRegistry::instance().release(tid);
-    }
-  };
-  static TlsSlot& slot() {
-    thread_local TlsSlot s;
-    return s;
-  }
-
   AnyOrderedSet* set_;
 };
 

@@ -14,10 +14,7 @@
 // and SetOptions an implementation cannot honor throw
 // UnsupportedOptionError instead of being silently dropped.
 //
-// Operations go through sessions only. The raw-`tid` migration shims that
-// mirrored the pre-facade calling convention ([[deprecated]] insert/remove/
-// contains/range_query on this class, make_any_set in any_set.h) are gone:
-// every in-repo consumer is on sessions. Code that needs the raw interface
+// Operations go through sessions only. Code that needs the raw interface
 // deliberately — benchmark drivers pinning dense ids, white-box tests —
 // uses session(tid) or the impl() escape hatch.
 

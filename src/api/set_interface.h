@@ -45,10 +45,8 @@ class AnyOrderedSet {
   virtual bool insert(int tid, KeyT key, ValT val) = 0;
   virtual bool remove(int tid, KeyT key) = 0;
   virtual bool contains(int tid, KeyT key, ValT* out = nullptr) = 0;
-  virtual size_t range_query(int tid, KeyT lo, KeyT hi,
-                             std::vector<std::pair<KeyT, ValT>>& out) = 0;
-  /// Snapshot-object form: fills `out` (reusing its buffer) and stamps the
-  /// snapshot timestamp when the technique exposes one.
+  /// Fills `out` (reusing its buffer) and stamps the snapshot timestamp
+  /// when the technique exposes one.
   virtual size_t range_query(int tid, KeyT lo, KeyT hi,
                              RangeSnapshot& out) = 0;
 

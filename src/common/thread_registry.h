@@ -32,7 +32,7 @@ class ThreadSlotsExhaustedError : public std::runtime_error {
 
 /// Hands out dense thread ids, recycling released ones. Benchmarks and
 /// tests typically assign ids 0..n-1 themselves; the registry backs
-/// ThreadSession (api/set.h) and the convenience tl_thread_id() helper.
+/// SessionId (api/session.h), the one RAII owner of an acquired id.
 ///
 /// An id may be release()d and handed to another thread only between
 /// operations (RAII sessions guarantee this): per-thread substrate slots
@@ -48,11 +48,9 @@ class ThreadRegistry {
     return tid;
   }
 
-  /// Non-throwing acquire: -1 when the id space is exhausted. The guard
-  /// form for callers that must degrade gracefully (the network server's
-  /// worker startup) instead of unwinding. Hands out the LOWEST free id,
-  /// keeping application sessions away from the high end that
-  /// try_acquire_high callers (background maintenance) live in.
+  /// Non-throwing acquire: -1 when the id space is exhausted. Hands out
+  /// the LOWEST free id, keeping application sessions away from the high
+  /// end that try_acquire_high callers (background maintenance) live in.
   int try_acquire() noexcept {
     std::lock_guard<Spinlock> g(lock_);
     for (int i = 0; i < kMaxThreads; ++i)
@@ -82,19 +80,13 @@ class ThreadRegistry {
     --in_use_;
   }
 
-  /// High-water mark: one past the highest id ever handed out.
-  int registered() const noexcept {
-    std::lock_guard<Spinlock> g(lock_);
-    return next_;
-  }
-
   /// Ids currently held (acquired and not yet released).
   int in_use() const noexcept {
     std::lock_guard<Spinlock> g(lock_);
     return in_use_;
   }
 
-  /// Global registry used by ThreadSession and tl_thread_id().
+  /// Global registry used by SessionId.
   static ThreadRegistry& instance() {
     static ThreadRegistry reg;
     return reg;
@@ -104,23 +96,13 @@ class ThreadRegistry {
   int take(int i) noexcept {
     used_[i] = true;
     ++in_use_;
-    if (i >= next_) next_ = i + 1;
     return i;
   }
 
   mutable Spinlock lock_;
-  int next_ = 0;
   int in_use_ = 0;
   bool used_[kMaxThreads] = {};
 };
-
-/// Lazily-assigned dense id for the calling thread, never released
-/// (application convenience; prefer RAII sessions, which recycle ids, and
-/// note the benchmark drivers pass explicit ids instead).
-inline int tl_thread_id() {
-  thread_local int id = ThreadRegistry::instance().acquire();
-  return id;
-}
 
 /// High-water mark of thread ids that ever touched a substrate. Grace-period
 /// and min-scans iterate only up to the mark instead of over all kMaxThreads

@@ -78,7 +78,7 @@ class Txn {
   void abort() noexcept { id_.reset(); }
 
  private:
-  std::optional<bref::detail::SessionId> id_;
+  std::optional<bref::SessionId> id_;
 };
 
 struct TpccScale {

@@ -149,22 +149,22 @@ class BundledCitrus {
   }
 
   /// Linearizable range query over [lo, hi]; result sorted by key.
-  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
+  /// `ts_out`, when given, receives the snapshot timestamp the query
+  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
+                     timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now".
-      *last_rq_ts_[tid] = gts_.read();
+      if (ts_out != nullptr) *ts_out = gts_.read();
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    *last_rq_ts_[tid] = rq_.snapshot(
+    const timestamp_t stamp = rq_.snapshot(
         tid, gts_, [&](timestamp_t ts) { return walk(ts, lo, hi, out); });
+    if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
-
-  /// Snapshot timestamp the calling thread's last completed range query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
-  timestamp_t last_rq_timestamp(int tid) const { return *last_rq_ts_[tid]; }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
   /// APPENDING to `out` — the coordinated cross-shard protocol (see
@@ -424,7 +424,6 @@ class BundledCitrus {
   mutable Urcu rcu_;
   const bool reclaim_;
   Node* root_;
-  CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 
 }  // namespace bref

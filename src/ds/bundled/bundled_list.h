@@ -123,23 +123,23 @@ class BundledList {
   /// at the optimistic seek (newest pointers) to the node preceding the
   /// range; if that node was inserted after the snapshot, its bundle has no
   /// entry <= ts and the query restarts at a newer timestamp.
-  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
+  /// `ts_out`, when given, receives the snapshot timestamp the query
+  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
+                     timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now".
-      *last_rq_ts_[tid] = gts_.read();
+      if (ts_out != nullptr) *ts_out = gts_.read();
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       return walk(traverse(lo).first, ts, lo, hi, out);
     });
+    if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
-
-  /// Snapshot timestamp the calling thread's last completed range query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
-  timestamp_t last_rq_timestamp(int tid) const { return *last_rq_ts_[tid]; }
 
   /// Ablation of the paper's entry-path optimization (Section 4): enter the
   /// range walking strictly through bundles from the head sentinel instead
@@ -147,17 +147,19 @@ class BundledList {
   /// snapshot; every pre-range hop costs a bundle dereference, which is
   /// what bench/ablation_entry_path quantifies.
   size_t range_query_from_start(int tid, K lo, K hi,
-                                std::vector<std::pair<K, V>>& out) {
+                                std::vector<std::pair<K, V>>& out,
+                                timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now".
-      *last_rq_ts_[tid] = gts_.read();
+      if (ts_out != nullptr) *ts_out = gts_.read();
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       return walk(head_, ts, lo, hi, out);
     });
+    if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
@@ -288,7 +290,6 @@ class BundledList {
   const bool reclaim_;
   Node* head_;
   Node* tail_;
-  CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 
 }  // namespace bref

@@ -246,26 +246,26 @@ class BundledSkipList {
   /// Linearizable range query: index layers route to the data-layer node
   /// preceding the range; from there the walk uses bundles only. If that
   /// node postdates the snapshot, the query restarts at a newer timestamp.
-  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
+  /// `ts_out`, when given, receives the snapshot timestamp the query
+  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
+                     timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now".
-      *last_rq_ts_[tid] = gts_.read();
+      if (ts_out != nullptr) *ts_out = gts_.read();
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
     Node* preds[kMaxHeight];
     Node* succs[kMaxHeight];
-    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       find(lo, preds, succs);
       return walk(preds[0], ts, lo, hi, out);
     });
+    if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
-
-  /// Snapshot timestamp the calling thread's last completed range query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
-  timestamp_t last_rq_timestamp(int tid) const { return *last_rq_ts_[tid]; }
 
   /// Ablation of the index-assisted entry (Section 5): reach the range by
   /// walking the data layer through bundles from the head sentinel,
@@ -273,17 +273,19 @@ class BundledSkipList {
   /// quantifies what the index-layer routing saves (O(n) bundle hops vs
   /// O(log n) plain-pointer hops to the range).
   size_t range_query_from_start(int tid, K lo, K hi,
-                                std::vector<std::pair<K, V>>& out) {
+                                std::vector<std::pair<K, V>>& out,
+                                timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now".
-      *last_rq_ts_[tid] = gts_.read();
+      if (ts_out != nullptr) *ts_out = gts_.read();
       return 0;
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    *last_rq_ts_[tid] = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       return walk(head_, ts, lo, hi, out);
     });
+    if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
@@ -456,7 +458,6 @@ class BundledSkipList {
   Node* head_;
   Node* tail_;
   mutable CachePadded<Xoshiro256> rngs_[kMaxThreads];
-  CachePadded<timestamp_t> last_rq_ts_[kMaxThreads] = {};
 };
 
 }  // namespace bref

@@ -171,14 +171,19 @@ class EbrRqSkipList {
     }
   }
 
-  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out) {
+  /// `ts_out`, when given, receives the snapshot timestamp the query
+  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
+                     timestamp_t* ts_out = nullptr) {
     out.clear();
     if (lo > hi) {
-      prov_.note_trivial_rq(tid);
+      // Trivially empty: linearizes anywhere, so stamp "now".
+      if (ts_out != nullptr) *ts_out = prov_.now();
       return 0;
     }
     Ebr::Guard g(ebr_, tid);
     const uint64_t ts = prov_.rq_begin(tid, lo, hi);
+    if (ts_out != nullptr) *ts_out = ts;
     Node* preds[kMaxHeight];
     Node* succs[kMaxHeight];
     find(lo, preds, succs);
@@ -190,12 +195,6 @@ class EbrRqSkipList {
     prov_.rq_reconcile(tid, ts, lo, hi, out);
     prov_.rq_end(tid);
     return out.size();
-  }
-
-  /// Snapshot timestamp the calling thread's last completed range query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
-  timestamp_t last_rq_timestamp(int tid) const {
-    return prov_.last_rq_timestamp(tid);
   }
 
   /// Drain every thread's limbo slot; see Provider::flush_limbo.

@@ -188,6 +188,8 @@ class EbrRqProvider {
 
   // ---- range-query side --------------------------------------------------
 
+  /// Announce a query over [lo, hi] and return its snapshot timestamp
+  /// (kLock and kLockFree alike: the fetch-add result).
   uint64_t rq_begin(int tid, K lo, K hi) {
     hwm_.note(tid);
     auto& rs = *rq_slots_[tid];
@@ -210,9 +212,6 @@ class EbrRqProvider {
       ts = ts_.fetch_add(1, std::memory_order_seq_cst);
     }
     rs.ts.store(ts, std::memory_order_seq_cst);
-    // The snapshot timestamp this query linearizes at, surfaced through the
-    // structures' last_rq_timestamp(tid) -> RangeSnapshot::timestamp().
-    *last_rq_ts_[tid] = ts;
     return ts;
   }
 
@@ -235,16 +234,9 @@ class EbrRqProvider {
     rs.reports.clear();
   }
 
-  /// A trivially-empty query (lo > hi) linearizes anywhere; stamp "now" so
-  /// RangeSnapshot::timestamp() stays meaningful without paying rq_begin.
-  void note_trivial_rq(int tid) {
-    hwm_.note(tid);
-    *last_rq_ts_[tid] = ts_.load(std::memory_order_seq_cst);
-  }
-
-  /// Snapshot timestamp the calling thread's last range query fixed in
-  /// rq_begin (kLock and kLockFree alike: the fetch-add result).
-  uint64_t last_rq_timestamp(int tid) const { return *last_rq_ts_[tid]; }
+  /// The counter's current value: the stamp of a trivially-empty query
+  /// (lo > hi), which linearizes anywhere and so skips rq_begin.
+  uint64_t now() const { return ts_.load(std::memory_order_seq_cst); }
 
   /// Snapshot membership test: itime <= ts < dtime. DCSS-helping reads in
   /// lock-free mode so a raw descriptor word is never misinterpreted.
@@ -498,7 +490,6 @@ class EbrRqProvider {
   CachePadded<AnnounceSlots> slots_[kMaxThreads];
   mutable CachePadded<Limbo> limbo_[kMaxThreads];
   CachePadded<RqSlot> rq_slots_[kMaxThreads];
-  CachePadded<uint64_t> last_rq_ts_[kMaxThreads] = {};
   // Last members: destroyed first, unregistering the obs callbacks before
   // the limbo state they read. limbo_size() takes only the limbo leaf
   // locks, which a snapshot may take under the registry lock (leaf-lock

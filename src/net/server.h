@@ -16,7 +16,7 @@
 //     earlier short write + this wave's responses = two iovecs).
 //     Pipelined clients therefore amortize both syscalls and the
 //     session's cache warmth over the whole batch.
-//   * Sessions: each worker holds ONE dense thread id (SessionGuard) for
+//   * Sessions: each worker holds ONE dense thread id (SessionId) for
 //     its whole lifetime and executes every pinned connection's ops under
 //     it. Connections never consume ThreadRegistry slots — the
 //     connection:session mapping is many:1 by construction, so accepting
@@ -48,8 +48,8 @@
 // buffered and flush pending writes (deadline-bounded drain — stragglers
 // are counted in bref_net_stop_dropped), closes all connections, joins
 // the loops, and stops maintenance — under ASan this is fd- and
-// session-leak free (test_net asserts the ThreadRegistry high-water mark
-// returns to baseline).
+// session-leak free (test_net asserts ThreadRegistry::in_use() returns to
+// baseline).
 //
 // All wire syscalls go through bref::net::fault wrappers
 // (net/testing/faultfd.h): plain passthrough in production, seeded fault
@@ -270,17 +270,15 @@ class Server {
     try {
       const int nworkers = opt_.workers < 1 ? 1 : opt_.workers;
       for (int i = 0; i < nworkers; ++i) {
-        auto w = std::make_unique<Worker>();
-        // Acquire the worker's sessions up front, on this thread, so
-        // start() can fail with a clear error instead of a dead loop: the
-        // guards are just dense ids, valid from any thread that uses them
-        // exclusively, and this worker's loop is their only user. The
-        // second id is scan-dedicated: a chunked scan holds EBR pins
-        // across waves, and Ebr::pin/unpin is not reentrant per tid, so
-        // point ops (worker session) and the held scan (scan session)
+        // Constructing the worker acquires its session ids up front, on
+        // this thread, so start() fails with ThreadSlotsExhaustedError
+        // instead of a dead loop: the ids are valid from any thread that
+        // uses them exclusively, and this worker's loop is their only
+        // user. The second id is scan-dedicated: a chunked scan holds EBR
+        // pins across waves, and Ebr::pin/unpin is not reentrant per tid,
+        // so point ops (worker session) and the held scan (scan session)
         // must not share one.
-        if (!w->session.acquired() || !w->scan_session.acquired())
-          throw ThreadSlotsExhaustedError();
+        auto w = std::make_unique<Worker>();
         w->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
         w->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
         if (w->epoll_fd < 0 || w->wake_fd < 0) throw_errno("epoll/eventfd");
@@ -292,7 +290,7 @@ class Server {
       }
       if (maint_) maint_->start();
     } catch (...) {
-      workers_.clear();  // releases acquired guards, closes epoll/wake fds
+      workers_.clear();  // releases acquired ids, closes epoll/wake fds
       ::close(listen_fd_);
       listen_fd_ = -1;
       throw;
@@ -333,7 +331,7 @@ class Server {
     for (auto& w : workers_) wake(*w);
     for (auto& w : workers_)
       if (w->thread.joinable()) w->thread.join();
-    workers_.clear();  // closes epoll/wake fds, releases session guards
+    workers_.clear();  // closes epoll/wake fds, releases session ids
     if (maint_) maint_->stop();
     running_ = false;
   }
@@ -625,11 +623,11 @@ class Server {
   };
 
   struct Worker {
-    SessionGuard session;
+    SessionId session;
     // Scan-dedicated session: chunked scans hold EBR pins across waves,
     // and Ebr::pin/unpin is not reentrant per tid, so the held scan and
     // the wave's point ops must run under different ids.
-    SessionGuard scan_session;
+    SessionId scan_session;
     int epoll_fd = -1;
     int wake_fd = -1;
     uint8_t index = 0;  // position in workers_ (trace span attribution)

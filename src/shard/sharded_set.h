@@ -196,31 +196,17 @@ class ShardedSet final : public AnyOrderedSet {
   }
 
   // -- range queries ------------------------------------------------------
-  size_t range_query(int tid, KeyT lo, KeyT hi,
-                     std::vector<std::pair<KeyT, ValT>>& out) override {
-    if (nshards_ == 1) return single_shard(tid, lo, hi, out);
-    out.clear();
-    if (lo > hi) return 0;
-    const size_t a = shard_index(lo);
-    const size_t b = shard_index(hi);
-    if (a == b) {
-      bump(stats_[tid]->single_shard_rqs);
-      return shards_[a]->range_query(tid, lo, hi, out);
-    }
-    if (coordinated_) {
-      coordinated_collect(tid, a, b, lo, hi, out);
-    } else {
-      fallback_collect(tid, a, b, lo, hi, out);
-    }
-    return out.size();
-  }
-
-  /// Snapshot form: a coordinated multi-shard result is stamped with the
-  /// single shared timestamp it linearized at; a single-shard query
-  /// delegates (stamp included only when this set advertises
-  /// rq_timestamp); a fallback merge is never stamped.
+  /// A coordinated multi-shard result is stamped with the single shared
+  /// timestamp it linearized at; a single-shard query delegates (stamp
+  /// included only when this set advertises rq_timestamp); a fallback
+  /// merge is never stamped. A one-shard set never merges, so every query
+  /// — the lo > hi case and the inner set's own stamp included — is its
+  /// only shard's answer.
   size_t range_query(int tid, KeyT lo, KeyT hi, RangeSnapshot& out) override {
-    if (nshards_ == 1) return single_shard(tid, lo, hi, out);
+    if (nshards_ == 1) {
+      bump(stats_[tid]->single_shard_rqs);
+      return shards_[0]->range_query(tid, lo, hi, out);
+    }
     out.reset(lo, hi);
     if (lo > hi) {
       // Trivially empty: linearizes anywhere, so stamp "now" off the
@@ -507,7 +493,7 @@ class ShardedSet final : public AnyOrderedSet {
   /// Elision: only shards in [a, b] — the span [lo, hi] provably overlaps
   /// under the contiguous partition (shard_index is monotone) — pay any
   /// coordination; shards outside it are never touched, and a == b never
-  /// reaches here (the callers devolve single-shard queries to the
+  /// reaches here (range_query devolves single-shard queries to the
   /// unsharded fast path: zero pins, zero announces, zero shared-clock
   /// reads). coordinated_shards_pinned makes the invariant observable.
   timestamp_t coordinated_collect(int tid, size_t a, size_t b, KeyT lo,
@@ -520,20 +506,12 @@ class ShardedSet final : public AnyOrderedSet {
     return snap.timestamp();
   }
 
-  /// A one-shard set never merges, so every query — the lo > hi case and
-  /// the inner set's own stamp included — is its only shard's answer.
-  template <typename Out>
-  size_t single_shard(int tid, KeyT lo, KeyT hi, Out& out) {
-    bump(stats_[tid]->single_shard_rqs);
-    return shards_[0]->range_query(tid, lo, hi, out);
-  }
-
   /// Graceful degradation: each overlapping shard's own linearizable
-  /// snapshot, concatenated in shard (= key) order. Atomic per shard, not
-  /// across shards.
+  /// snapshot, read into this thread's scratch and concatenated in shard
+  /// (= key) order. Atomic per shard, not across shards.
   void fallback_collect(int tid, size_t a, size_t b, KeyT lo, KeyT hi,
                         std::vector<std::pair<KeyT, ValT>>& out) {
-    auto& scratch = *scratch_[tid];
+    RangeSnapshot& scratch = *scratch_[tid];
     for (size_t i = a; i <= b; ++i) {
       shards_[i]->range_query(tid, lo, hi, scratch);
       out.insert(out.end(), scratch.begin(), scratch.end());
@@ -553,8 +531,7 @@ class ShardedSet final : public AnyOrderedSet {
   std::vector<std::unique_ptr<AnyOrderedSet>> shards_;
   std::vector<RqTracker*> trackers_;
   std::vector<std::unique_ptr<SessionPool>> pools_;
-  mutable CachePadded<std::vector<std::pair<KeyT, ValT>>>
-      scratch_[kMaxThreads];
+  CachePadded<RangeSnapshot> scratch_[kMaxThreads];
   mutable CachePadded<StatSlot> stats_[kMaxThreads] = {};
   // Last members: unregistered before the StatSlots they read go away.
   obs::GaugeSet::Source obs_srcs_[4];

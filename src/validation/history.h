@@ -142,52 +142,10 @@ inline History merge(std::vector<ThreadLog>& logs) {
   return h;
 }
 
-/// Transparent recording adapter: same call surface as the library's
-/// ordered sets, forwarding to `DS` while logging every operation with its
-/// real-time window into a caller-supplied ThreadLog.
-template <typename DS>
-class RecordedSet {
- public:
-  explicit RecordedSet(DS& ds) : ds_(ds) {}
-
-  bool insert(ThreadLog& log, int tid, KeyT k, ValT v) {
-    const uint64_t t0 = now_ns();
-    const bool r = ds_.insert(tid, k, v);
-    log.record_point(OpKind::kInsert, k, v, r, t0, now_ns());
-    return r;
-  }
-
-  bool remove(ThreadLog& log, int tid, KeyT k) {
-    const uint64_t t0 = now_ns();
-    const bool r = ds_.remove(tid, k);
-    log.record_point(OpKind::kRemove, k, 0, r, t0, now_ns());
-    return r;
-  }
-
-  bool contains(ThreadLog& log, int tid, KeyT k) {
-    ValT v = 0;
-    const uint64_t t0 = now_ns();
-    const bool r = ds_.contains(tid, k, &v);
-    log.record_point(OpKind::kContains, k, r ? v : 0, r, t0, now_ns());
-    return r;
-  }
-
-  size_t range_query(ThreadLog& log, int tid, KeyT lo, KeyT hi,
-                     std::vector<std::pair<KeyT, ValT>>& out) {
-    const uint64_t t0 = now_ns();
-    ds_.range_query(tid, lo, hi, out);
-    log.record_rq(lo, hi, out, t0, now_ns());
-    return out.size();
-  }
-
- private:
-  DS& ds_;
-};
-
-/// Session-era recording adapter: mirrors TypedSession's surface (no raw
-/// tids) and logs every operation. Range queries go through RangeSnapshot,
-/// so the record keeps the snapshot timestamp the old out-vector protocol
-/// had to drop.
+/// Recording adapter: mirrors TypedSession's surface (no raw tids),
+/// forwarding to `DS` while logging every operation with its real-time
+/// window into a caller-supplied ThreadLog. Range queries go through
+/// RangeSnapshot, so the record keeps the snapshot timestamp.
 template <typename DS>
 class RecordedSession {
  public:

@@ -491,11 +491,12 @@ void expect_range_query_restarts() {
   SyncHooks::rq_mid_announce.store(&rq_entry_test::insert_15_once<DS>,
                                    std::memory_order_relaxed);
   Items out;
-  ds.range_query(1, 16, 30, out);
+  timestamp_t ts = 0;
+  ds.range_query(1, 16, 30, out, &ts);
   SyncHooks::reset();
   EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
   // The first attempt ran at `before`; only a restart reads a newer clock.
-  EXPECT_GT(ds.last_rq_timestamp(1), before);
+  EXPECT_GT(ts, before);
   EXPECT_TRUE(ds.contains(0, 15));
 }
 

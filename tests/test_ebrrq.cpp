@@ -1,5 +1,5 @@
 // The EBR-RQ family after its modernization pass: snapshot timestamps
-// surfaced through last_rq_timestamp -> RangeSnapshot::timestamp(), the
+// returned by range_query and surfaced as RangeSnapshot::timestamp(), the
 // report/limbo lifecycle fixes (rq_end drains reports under the lock that
 // gates pushes; flush_limbo rescues nodes stranded below the prune
 // cadence), and the pooled allocation-free node path (EntryPool-backed
@@ -47,7 +47,6 @@ TYPED_TEST(EbrRqTs, SnapshotTimestampSurfacesAndIsStrictlyMonotone) {
   RangeSnapshot a, b;
   s.range_query(1, 20, a);
   ASSERT_TRUE(a.has_timestamp());
-  EXPECT_EQ(a.timestamp(), this->ds.last_rq_timestamp(0));
   EXPECT_EQ(a.size(), 20u);
   // Every rq_begin fetch-adds the counter, so stamps are unique and
   // strictly increasing — per thread and globally.

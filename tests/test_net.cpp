@@ -253,14 +253,13 @@ class Dispatch : public ::testing::Test {
   }
 
   ShardedSet set{"Bundle-skiplist", ShardOptions{}};
-  SessionGuard session;
+  SessionId session;
   TxnBuffer txn;
   RangeSnapshot rq;
   StubHost host;
 };
 
 TEST_F(Dispatch, EveryOpcodeEnforcesItsBodySize) {
-  ASSERT_TRUE(session.acquired());
   // An 8-byte TRACE_DUMP sets the process-wide capture policy; put it back.
   const uint32_t every = obs::trace_sample_every().load();
   const uint64_t threshold = obs::trace_threshold_ns().load();
@@ -303,7 +302,6 @@ TEST_F(Dispatch, EveryOpcodeEnforcesItsBodySize) {
 }
 
 TEST_F(Dispatch, TxnOpChecksStateInnerOpAndCap) {
-  ASSERT_TRUE(session.acquired());
   // Outside a transaction every TXN op but BEGIN is a state error.
   EXPECT_EQ(status(Op::kTxnOp, txn_op(Op::kGet, 9)), Status::kErrTxnState);
   EXPECT_EQ(status(Op::kTxnCommit, {}), Status::kErrTxnState);
@@ -355,7 +353,6 @@ TEST_F(Dispatch, TxnOpChecksStateInnerOpAndCap) {
 }
 
 TEST_F(Dispatch, HostDecidesChunkingAndIntrospection) {
-  ASSERT_TRUE(session.acquired());
   for (KeyT k = 1; k <= 5; ++k) set.insert(session.tid(), k, k * 10);
   std::vector<uint8_t> narrow, wide;
   put_i64(narrow, 2);
@@ -571,7 +568,7 @@ TEST(SessionMapping, ConnectionsDoNotConsumeThreadSlots) {
   const int idle = ThreadRegistry::instance().in_use();
   Server srv(small_opts(/*workers=*/2));
   srv.start();
-  // Worker session guards plus registry-tracked maintenance workers draw
+  // Worker session ids plus registry-tracked maintenance workers draw
   // ids at start; connections must not add a single one on top.
   const int started = ThreadRegistry::instance().in_use();
   EXPECT_GT(started, idle);
@@ -597,10 +594,6 @@ TEST(SessionMapping, RegistryExhaustionIsACleanError) {
   }
   EXPECT_EQ(reg.in_use(), kMaxThreads);
   EXPECT_THROW(reg.acquire(), ThreadSlotsExhaustedError);
-  {
-    SessionGuard g;  // the non-throwing guard reports failure instead
-    EXPECT_FALSE(g.acquired());
-  }
   // A server cannot start without worker sessions — and says so.
   Server srv(small_opts());
   EXPECT_THROW(srv.start(), ThreadSlotsExhaustedError);

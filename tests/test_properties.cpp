@@ -27,7 +27,6 @@
 #include <map>
 #include <thread>
 
-#include "api/any_set.h"
 #include "api/set.h"
 #include "common/random.h"
 #include "test_util.h"
@@ -134,7 +133,8 @@ TEST_P(AllImplsProperty, RegistryMetadataConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Registry, AllImplsProperty, ::testing::ValuesIn(any_set_names()),
+    Registry, AllImplsProperty,
+    ::testing::ValuesIn(ImplRegistry::instance().names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string n = info.param;
       for (auto& c : n)
@@ -255,7 +255,7 @@ TEST_P(LinRqProperty, ConcurrentBurstsPassWingGongAudit) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, LinRqProperty,
-    ::testing::ValuesIn(any_set_linearizable_names()),
+    ::testing::ValuesIn(testutil::linearizable_impl_names()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string n = info.param;
       for (auto& c : n)

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "api/any_set.h"
 #include "api/set.h"
 #include "test_util.h"
 
@@ -105,18 +104,6 @@ TEST(Registry, CapabilityMatrixMatchesTheTechniques) {
     // collection); EBR-RQ reports timestamps but owns no shareable clock.
     EXPECT_EQ(d.caps.coordinated_rq, bundle);
   }
-}
-
-TEST(Registry, DerivedNameListsMatchDescriptors) {
-  const auto names = any_set_names();
-  EXPECT_EQ(names.size(), ImplRegistry::instance().size());
-  // Linearizable subset is capability-derived (no name-prefix games).
-  for (const auto& n : any_set_linearizable_names()) {
-    ImplDescriptor d;
-    ASSERT_TRUE(ImplRegistry::instance().find(n, &d));
-    EXPECT_TRUE(d.caps.linearizable_rq);
-  }
-  EXPECT_EQ(any_set_linearizable_names().size(), names.size() - 3);
 }
 
 TEST(Registry, UnknownNamesThrow) {
@@ -207,7 +194,7 @@ TEST(Registry, ExtraImplementationIsOneRegistrationLine) {
   {
     ScopedRegistration<ToyWrapperSet> reg;  // the one line
     EXPECT_EQ(ImplRegistry::instance().size(), before + 1);
-    auto names = any_set_names();
+    auto names = ImplRegistry::instance().names();
     EXPECT_NE(std::find(names.begin(), names.end(), "Toy-list"), names.end());
     // Fully functional through the facade, capabilities derived from the
     // wrapped type (BundledList: relaxation + reclamation + timestamps).

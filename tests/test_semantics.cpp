@@ -143,6 +143,14 @@ TYPED_TEST(SetSemantics, SnapshotTimestampMatchesCapability) {
     ASSERT_TRUE(this->out.has_timestamp());
     EXPECT_GE(this->out.timestamp(), first);
   }
+  // An inverted-bounds query is trivially empty and linearizes anywhere:
+  // a stamping technique stamps "now", never below the query before it.
+  const timestamp_t prev = this->out.timestamp();
+  EXPECT_EQ(this->s.range_query(50, 40, this->out), 0u);
+  EXPECT_EQ(this->out.has_timestamp(), caps_of<TypeParam>().rq_timestamp);
+  if (this->out.has_timestamp()) {
+    EXPECT_GE(this->out.timestamp(), prev);
+  }
 }
 
 TYPED_TEST(SetSemantics, ToVectorSortedAndComplete) {

@@ -439,9 +439,9 @@ TEST(Snapshot, SlicedCollectionEqualsOneCallQuiescent) {
       {0, 400}, {0, 399}, {30, 60}, {99, 101}, {5, 5}, {-50, 1000}};
   for (const auto& [lo, hi] : spans) {
     const Items whole = collect_sliced(s, 1, lo, hi, 0);
-    Items rq;
+    RangeSnapshot rq;
     s.range_query(1, lo, hi, rq);
-    EXPECT_EQ(whole, rq) << "[" << lo << ", " << hi << "]";
+    EXPECT_EQ(whole, rq.items()) << "[" << lo << ", " << hi << "]";
     for (size_t keys : {1, 7, 4096})
       EXPECT_EQ(collect_sliced(s, 1, lo, hi, keys), whole)
           << "[" << lo << ", " << hi << "] in slices of " << keys;

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,11 +38,11 @@ void run_sessions(DS& ds, int n,
 }
 
 /// Run `fn(session)` on `n` threads whose dense ids come from the
-/// per-OS-thread SessionPool cache — the application-facing id discipline
-/// (the tl_thread_id() successor), as opposed to run_sessions' hand-pinned
-/// ids. Use when a test should exercise the same path real callers take;
-/// note pooled ids are recycled through the global ThreadRegistry, so do
-/// not mix with hand-pinned ids that could collide.
+/// per-OS-thread SessionPool cache — the application-facing id discipline,
+/// as opposed to run_sessions' hand-pinned ids. Use when a test should
+/// exercise the same path real callers take; note pooled ids are recycled
+/// through the global ThreadRegistry, so do not mix with hand-pinned ids
+/// that could collide.
 inline void run_pooled(AnyOrderedSet& set, int n,
                        const std::function<void(ThreadSession&)>& fn) {
   SessionPool pool(set);
@@ -101,6 +102,15 @@ using AllSetTypes = ::testing::Types<
     EbrRqCitrusSet, EbrRqLfListSet, EbrRqLfSkipListSet, EbrRqLfCitrusSet,
     RluListSet, RluSkipListSet, RluCitrusSet, SnapCollectorListSet,
     SnapCollectorSkipListSet, LfcaTreeSet>;
+
+/// Names of the registered implementations with linearizable range
+/// queries — derived from capability flags rather than name prefixes.
+inline std::vector<std::string> linearizable_impl_names() {
+  std::vector<std::string> out;
+  for (const auto& d : ImplRegistry::instance().descriptors())
+    if (d.caps.linearizable_rq) out.push_back(d.name);
+  return out;
+}
 
 /// Implementations with linearizable range queries (Unsafe excluded).
 using LinearizableSetTypes = ::testing::Types<

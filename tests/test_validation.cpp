@@ -286,7 +286,6 @@ TYPED_TEST(RecordedAudit, ConcurrentBurstsAreLinearizable) {
   // pre-burst contents as completed inserts that precede everything.
   constexpr int kBursts = 60;
   constexpr int kThreads = 3;
-  RecordedSet<TypeParam> rec(this->ds);
   for (int burst = 0; burst < kBursts; ++burst) {
     History pre;
     for (auto& [k, v] : this->ds.to_vector())
@@ -295,21 +294,22 @@ TYPED_TEST(RecordedAudit, ConcurrentBurstsAreLinearizable) {
     for (int t = 0; t < kThreads; ++t) logs.emplace_back(t);
     bref::testutil::run_threads(kThreads, [&](int t) {
       Xoshiro256 rng(burst * 31 + t);
-      std::vector<std::pair<KeyT, ValT>> out;
+      RecordedSession<TypeParam> rec(this->ds, logs[t], t);
+      RangeSnapshot out;
       for (int i = 0; i < 4; ++i) {
         KeyT k = 1 + static_cast<KeyT>(rng.next_range(3));
         switch (rng.next_range(4)) {
           case 0:
-            rec.insert(logs[t], t, k, k + 100 * burst);
+            rec.insert(k, k + 100 * burst);
             break;
           case 1:
-            rec.remove(logs[t], t, k);
+            rec.remove(k);
             break;
           case 2:
-            rec.contains(logs[t], t, k);
+            rec.contains(k);
             break;
           default:
-            rec.range_query(logs[t], t, 1, 3, out);
+            rec.range_query(1, 3, out);
             break;
         }
       }
