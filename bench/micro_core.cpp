@@ -48,7 +48,7 @@ void BM_Bundle_PrepareFinalize(benchmark::State& state) {
   b.init(&n, 0);
   timestamp_t ts = 0;
   for (auto _ : state) {
-    auto* e = b.prepare(0, &n);
+    auto e = b.prepare(0, &n);
     Bundle<FakeNode>::finalize(e, ++ts);
   }
   state.SetItemsProcessed(state.iterations());
@@ -91,7 +91,7 @@ void update_hot_path(benchmark::State& state) {
   timestamp_t ts = 0;
   for (auto _ : state) {
     ebr.pin(tid);
-    auto* e = b.prepare(tid, &n);
+    auto e = b.prepare(tid, &n);
     Bundle<FakeNode>::finalize(e, ++ts);
     // Bounded history, as under the background cleaner: prune everything a
     // ts-8 snapshot no longer needs, letting EBR recycle it to the pool.

@@ -1,35 +1,53 @@
 #pragma once
 // The bundle building block (Section 3, Listings 1-2, Algorithms 1-2).
 //
-// A Bundle is the history of one link in a linked data structure: a stack of
-// (pointer, timestamp) entries, newest first, strictly ordered by timestamp.
-// Update operations prepend a PENDING entry before their linearization point
-// and stamp it with the new global timestamp right after (Algorithm 1);
-// range queries dereference the newest entry whose timestamp does not exceed
-// their snapshot (Section 3.3), waiting out a pending head so no linearized-
-// but-unfinalized update is missed.
+// A Bundle is the history of one link in a linked data structure: a list of
+// (pointer, timestamp) versions, newest first, ordered by timestamp. Update
+// operations claim the link with a PENDING stamp before their linearization
+// point and stamp it with the new global timestamp right after (Algorithm
+// 1); range queries dereference the newest version whose timestamp does not
+// exceed their snapshot (Section 3.3), waiting out a pending stamp so no
+// linearized-but-unfinalized update is missed.
 //
-// Entry chains are only ever (a) prepended to at the head by updates and
-// (b) truncated at the tail by the cleaner (reclaim_older). Readers may walk
-// a truncated tail; reclamation is therefore routed through EBR, and entries
-// themselves come from per-thread pools (core/entry_pool.h) so the
-// steady-state update path never touches the allocator: prepare() pops from
-// the calling thread's pool, EBR's drain recycles pruned entries back to
-// their owner's pool.
+// The newest version lives inline, in three fields of the bundle itself
+// (and so of the node that embeds it): a stamp, a pointer and the root of a
+// chain of pooled entries that holds only superseded versions. A range
+// query that needs the newest version — almost every one — reads the node
+// and no entry, and a link that has one version holds no entry at all.
+// Chains are only ever (a) prepended to at the root by updates and (b) cut,
+// whole or below a kept entry, by the cleaner (reclaim_older). Readers may
+// walk a cut tail; reclamation is therefore routed through EBR, and entries
+// come from per-thread pools (core/entry_pool.h) so the steady-state update
+// path never touches the allocator.
 //
 // Memory-order audit (DESIGN.md §2 has the table form):
-//   The chain obeys one structural rule — an entry is prepended only after
-//   the previous head is finalized — and every acquire in this file exists
-//   to found the same transitivity argument: each preparer ACQUIRE-reads
-//   the head it prepends to and RELEASE-publishes its own entry, so a
-//   reader that acquire-loads the head happens-after the publication (and
-//   finalization) of *every* entry currently reachable from it. Everything
-//   deeper in the chain can therefore be read relaxed: the values are
-//   pinned by coherence once the happens-before edge from the head load
-//   exists. The only seq_cst in the protocol lives in GlobalTimestamp —
-//   an update's entry is prepended before the clock ticks, so a range
-//   query that reads clock value T is ordered after every update stamped
-//   <= T and must find its entry at or below the head it loads.
+//   * An update owns the link from its claim (CAS of a finalized stamp to
+//     PENDING, acquire: it happens-after the previous finalize) to its
+//     finalize (release store of the new stamp). In between it pushes the
+//     superseded pair onto the chain (release CAS) and release-stores the
+//     new pointer.
+//   * A reader reads stamp (acquire), pointer (acquire), stamp again. A
+//     pointer written by a later update carries that update's claim with
+//     it (the claim is sequenced before the release store of the pointer),
+//     so the second load then reads PENDING or a later stamp. With unique
+//     stamps (T = 1) an unchanged stamp therefore proves the pair
+//     consistent; with shared stamps (Fig. 5) the pair is the pre-update
+//     one or the finalized new one, both of which the chain protocol can
+//     return.
+//   * A reader whose snapshot predates the inline stamp acquire-loads the
+//     chain root: that load happens-after the push of every version the
+//     stamp superseded, and every push is a release RMW, so the relaxed
+//     hops below the root read fully written entries.
+//   * The cleaner acquire-loads the root before the stamp and cuts the
+//     whole chain only by CAS-ing that root to null. A root holding the
+//     push of an update would carry its claim with it, so an update whose
+//     claim the stamp load missed pushes after the root load: the CAS
+//     either cuts first (the push lands on an empty chain) or fails, and
+//     the pair a snapshot between the two stamps needs survives.
+//   * The only seq_cst in the protocol lives in GlobalTimestamp — an
+//     update claims the link before the clock ticks, so a range query that
+//     reads clock value T happens-after the claim of every update stamped
+//     <= T and sees PENDING or its final stamp.
 
 #include <atomic>
 #include <cassert>
@@ -71,12 +89,12 @@ inline obs::Counter& obs_bundle_pruned_counter() {
   return c;
 }
 
-/// One link version: 32 bytes, 32-byte aligned, so `ts` and `next` — the
-/// two fields a dereference touches per hop — always share one cache line
-/// with the pointer payload (a 24-byte unaligned entry could straddle).
-/// `pool_tid` rides in what would otherwise be padding: the pool slot the
-/// entry was allocated from (recycles route back there), or kPoolMalloced
-/// when the pooled path is ablated away.
+/// One superseded link version: 32 bytes, 32-byte aligned, so `ts` and
+/// `next` — the two fields a chain walk touches per hop — always share one
+/// cache line with the pointer payload (a 24-byte unaligned entry could
+/// straddle). `pool_tid` rides in what would otherwise be padding: the pool
+/// slot the entry was allocated from (recycles route back there), or
+/// kPoolMalloced when the pooled path is ablated away.
 template <typename NodeT>
 struct alignas(32) BundleEntry {
   NodeT* ptr;
@@ -98,7 +116,7 @@ struct alignas(32) BundleEntry {
 };
 
 /// Result of dereferencing a bundle at a snapshot timestamp. `found` is
-/// false when no entry satisfies the timestamp (the link did not exist at
+/// false when no version satisfies the timestamp (the link did not exist at
 /// snapshot time — Algorithm 3 line 7 restarts the range query).
 template <typename NodeT>
 struct BundleDeref {
@@ -116,6 +134,14 @@ class Bundle {
   static_assert(kCacheLine % sizeof(Entry) == 0,
                 "whole entries per cache line");
 
+  /// A claimed link, from prepare() to finalize(): the bundle and the
+  /// stamp of the version it supersedes (0 for the link's first version),
+  /// which finalize() clamps against.
+  struct Prepared {
+    Bundle* bundle;
+    timestamp_t floor;
+  };
+
   Bundle() = default;
   Bundle(const Bundle&) = delete;
   Bundle& operator=(const Bundle&) = delete;
@@ -125,8 +151,10 @@ class Bundle {
   /// Quiescent teardown only: the chain goes straight back to its pools
   /// and the bundle is left empty, as a pooled node is reused.
   void clear() {
-    Entry* e = head_.load(std::memory_order_relaxed);
-    head_.store(nullptr, std::memory_order_relaxed);
+    Entry* e = older_.load(std::memory_order_relaxed);
+    older_.store(nullptr, std::memory_order_relaxed);
+    ts_.store(kEmptyTs, std::memory_order_relaxed);
+    ptr_.store(nullptr, std::memory_order_relaxed);
     while (e != nullptr) {
       Entry* n = e->next.load(std::memory_order_relaxed);
       Entry::recycle(e);
@@ -134,91 +162,76 @@ class Bundle {
     }
   }
 
-  /// Install the very first entry with a known timestamp; used when
+  /// Install the very first version with a known timestamp; used when
   /// initializing sentinel links before the structure is shared (e.g. the
-  /// head sentinel's timestamp-0 entry in Figure 1). Runs on the
-  /// constructing thread, whose dense id is unknown — so it must NOT
-  /// touch any pool slot (free lists are single-consumer; popping another
-  /// thread's slot would race). Sentinel entries are rare (a handful per
-  /// structure), so they take the heap path and are tagged accordingly.
+  /// head sentinel's timestamp-0 link in Figure 1). It lives inline, so it
+  /// takes no entry and the constructing thread needs no pool slot.
   void init(NodeT* ptr, timestamp_t ts) {
-    assert(head_.load(std::memory_order_relaxed) == nullptr);
-    Entry* e = new Entry(kPoolMalloced);
-    e->ptr = ptr;
-    e->ts.store(ts, std::memory_order_relaxed);
-    head_.store(e, std::memory_order_release);
+    assert(ts_.load(std::memory_order_relaxed) == kEmptyTs);
+    ptr_.store(ptr, std::memory_order_relaxed);
+    ts_.store(ts, std::memory_order_release);
   }
 
-  /// Algorithm 2 (PrepareBundle): atomically prepend a PENDING entry for
-  /// `ptr`, first waiting for any concurrent update's pending head to be
-  /// finalized so entries stay ordered. The entry comes from `tid`'s pool
-  /// slot — zero heap traffic in steady state. Returns the entry for
-  /// finalize().
-  Entry* prepare(int tid, NodeT* ptr) {
-    Entry* fresh = acquire_entry(tid, ptr, kPendingTs);
+  /// Algorithm 2 (PrepareBundle): claim the link with a PENDING stamp,
+  /// first waiting for any concurrent update's pending stamp to be
+  /// finalized so versions stay ordered; move the superseded pair onto the
+  /// chain (an entry from `tid`'s pool slot — zero heap traffic in steady
+  /// state) and install `ptr` inline. Returns the claim for finalize().
+  Prepared prepare(int tid, NodeT* ptr) {
     Backoff bo;
+    timestamp_t old = ts_.load(std::memory_order_relaxed);
     for (;;) {
-      // Acquire: founds the transitivity argument (header comment) — our
-      // release-CAS below passes on everything this load saw.
-      Entry* expected = head_.load(std::memory_order_acquire);
-      fresh->next.store(expected, std::memory_order_relaxed);
-      if (expected != nullptr) {
-        // Block behind an in-flight update on this same link (Alg. 2
-        // line 8). Acquire pairs with finalize()'s release so the clamp
-        // below may reread the stamp relaxed (same-thread coherence).
-        while (expected->ts.load(std::memory_order_acquire) == kPendingTs)
-          bo.pause();
+      // Block behind an in-flight update on this same link (Alg. 2 line 8).
+      if (old == kPendingTs) {
+        bo.pause();
+        old = ts_.load(std::memory_order_relaxed);
+        continue;
       }
-      // Success = release: publishes fresh's fields and, transitively, the
-      // finalized chain behind it. Failure needs no ordering — the loop
-      // reloads the head with acquire before using anything.
-      if (head_.compare_exchange_weak(expected, fresh,
-                                      std::memory_order_release,
-                                      std::memory_order_relaxed)) {
-        return fresh;
-      }
+      // Success = acquire: pairs with the previous finalize()'s release,
+      // so the pointer load below reads that update's pointer. Failure
+      // reloads the stamp; nothing is read before the claim succeeds.
+      if (ts_.compare_exchange_weak(old, kPendingTs, std::memory_order_acquire,
+                                    std::memory_order_relaxed))
+        break;
     }
+    if (old != kEmptyTs) push(tid, ptr_.load(std::memory_order_relaxed), old);
+    SyncHooks::run(SyncHooks::after_claim);
+    // Release: a reader that loads this pointer happens-after the claim,
+    // so its stamp recheck reads PENDING or a later stamp (dereference()).
+    ptr_.store(ptr, std::memory_order_release);
+    return {this, old == kEmptyTs ? 0 : old};
   }
 
-  /// Stamp a prepared entry, making it visible to range queries. The clamp
-  /// against the next-older entry keeps the chain ordered under the relaxed
-  /// timestamp policy (Fig. 5), where two threads may hold the same clock
-  /// value; with the linearizable policy it never fires.
-  static void finalize(Entry* e, timestamp_t ts) {
-    // Both relaxed loads reread values this thread already read with
-    // acquire in prepare() (its own stores, and the pending-wait on the
-    // older entry); coherence pins them.
-    Entry* older = e->next.load(std::memory_order_relaxed);
-    if (older != nullptr) {
-      timestamp_t floor = older->ts.load(std::memory_order_relaxed);
-      if (ts < floor) ts = floor;
-    }
+  /// Stamp a claimed link, making its new version visible to range
+  /// queries. The clamp against the superseded stamp keeps versions ordered
+  /// under the relaxed timestamp policy (Fig. 5), where two threads may hold
+  /// the same clock value; with the linearizable policy it never fires.
+  static void finalize(const Prepared& p, timestamp_t ts) {
+    if (ts < p.floor) ts = p.floor;
     // Release, not seq_cst: a range query is ordered relative to this
     // update by the seq_cst global-timestamp accesses (it reads the clock
-    // *after* our fetch-add if its snapshot covers us), and the entry
-    // itself was already published by prepare()'s CAS. The stamp only has
-    // to release the waiting readers spinning in dereference().
-    e->ts.store(ts, std::memory_order_release);
+    // *after* our fetch-add if its snapshot covers us, so it sees the claim
+    // at least), and the pointer and the pushed pair are already published.
+    // The stamp only has to release the readers spinning on PENDING.
+    p.bundle->ts_.store(ts, std::memory_order_release);
   }
 
-  /// DereferenceBundle (Section 3.3): wait out a pending head, then return
-  /// the newest link whose timestamp is <= `ts`.
+  /// DereferenceBundle (Section 3.3): wait out a pending stamp, then return
+  /// the newest link whose timestamp is <= `ts`: the inline pair when it
+  /// is old enough, else the first such chain entry.
   BundleDeref<NodeT> dereference(timestamp_t ts) const {
-    // Acquire: happens-after the publication of every entry reachable from
-    // this head (transitivity argument, header comment) — which is what
-    // lets every per-hop load below be relaxed.
-    Entry* e = head_.load(std::memory_order_acquire);
-    if (e != nullptr) {
-      Backoff bo;
-      // Acquire pairs with finalize()'s release; only the head can be
-      // pending (prepare() waits before prepending).
-      while (e->ts.load(std::memory_order_acquire) == kPendingTs) bo.pause();
+    assert(ts < kEmptyTs);
+    const auto [p, newest_ts] = read_inline();
+    size_t hops = 1;
+    if (newest_ts <= ts) {
+      obs_sample_bundle_depth(hops);
+      return {p, true};
     }
-    // Relaxed hops: each entry's fields were written before its
-    // publication, each publication happens-before the head we
-    // acquire-loaded, and coherence forbids reading anything older.
-    size_t hops = 0;
-    for (; e != nullptr; e = e->next.load(std::memory_order_relaxed)) {
+    // Acquire: happens-after the push of every version the inline stamp
+    // superseded (each push is a release RMW on the root), which is what
+    // lets every per-hop load below be relaxed.
+    for (Entry* e = older_.load(std::memory_order_acquire); e != nullptr;
+         e = e->next.load(std::memory_order_relaxed)) {
       ++hops;
       if (e->ts.load(std::memory_order_relaxed) <= ts) {
         obs_sample_bundle_depth(hops);
@@ -229,45 +242,56 @@ class Bundle {
     return {nullptr, false};
   }
 
-  /// Newest finalized link (waits out a pending head). Equivalent to
-  /// dereference(∞) but cheaper; used by asserts and the cleaner.
+  /// Newest finalized link (waits out a pending stamp). Equivalent to
+  /// dereference(∞); used by asserts and invariant checks.
   NodeT* newest() const {
-    Entry* e = head_.load(std::memory_order_acquire);
-    assert(e != nullptr);
-    Backoff bo;
-    timestamp_t t;
-    while ((t = e->ts.load(std::memory_order_acquire)) == kPendingTs)
-      bo.pause();
-    (void)t;
-    return e->ptr;
+    const auto [p, t] = read_inline();
+    assert(t != kEmptyTs);
+    return p;
   }
 
-  /// Prune entries no active range query can need: keep everything newer
-  /// than `oldest_active` plus the one entry that satisfies it; retire the
-  /// rest through EBR's recycle path (supplementary B), which returns them
-  /// to their owners' pools after the grace period. Returns #entries
-  /// retired. Skips (returns 0) if the head is pending.
+  /// Prune versions no active range query can need: keep everything newer
+  /// than `oldest_active` plus the one version that satisfies it; retire
+  /// the rest through EBR's recycle path (supplementary B), which returns
+  /// them to their owners' pools after the grace period. Returns #entries
+  /// retired. Skips (returns 0) while the link is claimed.
   size_t reclaim_older(timestamp_t oldest_active, Ebr& ebr, int tid) {
-    Entry* e = head_.load(std::memory_order_acquire);
-    if (e == nullptr) return 0;
-    if (e->ts.load(std::memory_order_acquire) == kPendingTs) return 0;
-    // Find the newest entry satisfying oldest_active; entries strictly
-    // older than it are unreachable by any current or future range query.
-    // Relaxed hops for the same reason as dereference(); everything below
-    // the (finalized) head is finalized.
-    while (e != nullptr &&
-           e->ts.load(std::memory_order_relaxed) > oldest_active) {
-      e = e->next.load(std::memory_order_relaxed);
+    // Root before stamp, and acquire: an update whose claim the stamp load
+    // misses pushes after this load, so the whole-chain cut below cannot
+    // remove the pair it superseded (which a snapshot between the two
+    // stamps still needs).
+    Entry* root = older_.load(std::memory_order_acquire);
+    if (root == nullptr) return 0;
+    SyncHooks::run(SyncHooks::reclaim_between_loads);
+    const timestamp_t t = ts_.load(std::memory_order_acquire);
+    if (t == kPendingTs) return 0;
+    Entry* stale;
+    if (t <= oldest_active) {
+      // The inline pair satisfies every current and future snapshot, so
+      // the whole chain goes — unless an update pushed since the root load.
+      if (!older_.compare_exchange_strong(root, nullptr,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed))
+        return 0;
+      stale = root;
+    } else {
+      // Find the newest entry satisfying oldest_active; entries strictly
+      // older than it are unreachable by any current or future range
+      // query. Relaxed hops for the same reason as dereference().
+      Entry* e = root;
+      while (e != nullptr &&
+             e->ts.load(std::memory_order_relaxed) > oldest_active)
+        e = e->next.load(std::memory_order_relaxed);
+      // Usually the kept entry is already the last one; then skip the
+      // locked write, which would dirty a line the next range query may
+      // fetch again. Only a cut ever changes a reachable entry's `next`
+      // after publication, so a null read is final.
+      if (e == nullptr || e->next.load(std::memory_order_relaxed) == nullptr)
+        return 0;
+      // Acquire half orders the cut against our reads of the stale chain;
+      // release half is for readers mid-walk that load the nullptr.
+      stale = e->next.exchange(nullptr, std::memory_order_acq_rel);
     }
-    // Usually the kept entry is already the last one (one entry per
-    // bundle); then skip the locked write, which would dirty a line the
-    // next range query must fetch again. Only a truncation ever changes a
-    // reachable entry's `next` after publication, so a null read is final.
-    if (e == nullptr || e->next.load(std::memory_order_relaxed) == nullptr)
-      return 0;
-    // Acquire half orders the truncation against our reads of the stale
-    // chain; release half is for readers mid-walk that load the nullptr.
-    Entry* stale = e->next.exchange(nullptr, std::memory_order_acq_rel);
     size_t n = 0;
     while (stale != nullptr) {
       Entry* next = stale->next.load(std::memory_order_relaxed);
@@ -280,9 +304,10 @@ class Bundle {
   }
 
   // -- introspection (tests, space-overhead accounting) -----------------
+  // Versions, not entries: the inline pair counts as one.
   size_t size() const {
-    size_t n = 0;
-    for (Entry* e = head_.load(std::memory_order_acquire); e != nullptr;
+    size_t n = ts_.load(std::memory_order_acquire) == kEmptyTs ? 0 : 1;
+    for (Entry* e = older_.load(std::memory_order_acquire); e != nullptr;
          e = e->next.load(std::memory_order_relaxed))
       ++n;
     return n;
@@ -290,24 +315,58 @@ class Bundle {
 
   std::vector<std::pair<timestamp_t, NodeT*>> snapshot_entries() const {
     std::vector<std::pair<timestamp_t, NodeT*>> out;
-    for (Entry* e = head_.load(std::memory_order_acquire); e != nullptr;
+    const timestamp_t t = ts_.load(std::memory_order_acquire);
+    if (t != kEmptyTs)
+      out.emplace_back(t, ptr_.load(std::memory_order_acquire));
+    for (Entry* e = older_.load(std::memory_order_acquire); e != nullptr;
          e = e->next.load(std::memory_order_relaxed))
       out.emplace_back(e->ts.load(std::memory_order_acquire), e->ptr);
     return out;
   }
 
  private:
-  /// Pool pop + field reset (the caller publishes; no ordering needed on
-  /// the stores — prepare()'s release-CAS or init()'s release covers them).
-  static Entry* acquire_entry(int tid, NodeT* ptr, timestamp_t ts) {
+  /// Stamp of a link that has no version yet (prepare() supersedes
+  /// nothing). Above every clock value, so it satisfies no snapshot.
+  static constexpr timestamp_t kEmptyTs = kPendingTs - 1;
+
+  /// The inline (pointer, stamp) pair, read consistently: stamp,
+  /// pointer, stamp again, waiting out a pending stamp (audit in the header
+  /// comment).
+  std::pair<NodeT*, timestamp_t> read_inline() const {
+    Backoff bo;
+    for (;;) {
+      // Acquire pairs with finalize()'s release: the pointer load below
+      // reads that update's pointer or a later one.
+      const timestamp_t t = ts_.load(std::memory_order_acquire);
+      if (t == kPendingTs) {
+        bo.pause();
+        continue;
+      }
+      // Acquire pairs with prepare()'s release store: a later update's
+      // pointer carries that update's claim, and keeps the recheck after it.
+      NodeT* p = ptr_.load(std::memory_order_acquire);
+      if (ts_.load(std::memory_order_relaxed) == t) return {p, t};
+    }
+  }
+
+  /// Move a superseded pair onto the chain. Only the claim holder pushes,
+  /// so the CAS races only the cleaner's whole-chain cut. Release: a
+  /// reader that acquire-loads the root sees the entry's fields, and the
+  /// RMW extends the release sequence of every earlier push.
+  void push(int tid, NodeT* ptr, timestamp_t ts) {
     Entry* e = EntryPool<Entry>::instance().acquire(tid);
     e->ptr = ptr;
     e->ts.store(ts, std::memory_order_relaxed);
-    e->next.store(nullptr, std::memory_order_relaxed);
-    return e;
+    Entry* root = older_.load(std::memory_order_relaxed);
+    do {
+      e->next.store(root, std::memory_order_relaxed);
+    } while (!older_.compare_exchange_weak(root, e, std::memory_order_release,
+                                           std::memory_order_relaxed));
   }
 
-  std::atomic<Entry*> head_{nullptr};
+  std::atomic<timestamp_t> ts_{kEmptyTs};
+  std::atomic<NodeT*> ptr_{nullptr};
+  std::atomic<Entry*> older_{nullptr};  // superseded versions, newest first
 };
 
 /// Algorithm 1 (LinearizeUpdateOperation): prepare every bundle, advance the
@@ -324,7 +383,7 @@ timestamp_t linearize_update(
     GlobalTimestamp& gts, int tid,
     std::initializer_list<std::pair<Bundle<NodeT>*, NodeT*>> bundles,
     LinearizeFn&& linearize) {
-  BundleEntry<NodeT>* prepared[4];
+  typename Bundle<NodeT>::Prepared prepared[4];
   int n = 0;
   for (const auto& [bundle, ptr] : bundles) {
     assert(n < 4);

@@ -2,8 +2,9 @@
 // Per-thread pooled allocation for bundle entries and skip-list nodes (the
 // update hot path).
 //
-// Every update in every bundled structure creates one BundleEntry per
-// changed bundle (Algorithm 2 line 2), and the background cleaner retires
+// Every update in every bundled structure moves the version it supersedes
+// into one BundleEntry per changed bundle (Algorithm 2 line 2; the newest
+// version lives inline in the bundle), and the background cleaner retires
 // each pruned entry through EBR. With plain new/delete the allocator — not
 // the algorithm — bounds update throughput in update-heavy mixes (the TR
 // follow-up, arXiv:2201.00874, singles out entry overheads as the cost to

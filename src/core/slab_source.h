@@ -21,8 +21,9 @@
 //
 // Under AddressSanitizer every chunk is registered as a LeakSanitizer root
 // region: LSan does not scan anonymous mappings, so a heap object whose only
-// pointer sits in pooled memory (a sentinel's `Bundle::init` entry behind a
-// pooled entry's `next`) would otherwise be reported as leaked.
+// pointer sits in pooled memory (a malloc-bypass entry behind a pooled
+// entry's `next`, once the ablation toggle flips under a live chain) would
+// otherwise be reported as leaked.
 
 #include <cerrno>
 #include <cstddef>

@@ -6,8 +6,10 @@
 // finalized its (pending) bundle entries. The paper's worked example — T1
 // inserts x and stalls right before finalization; T2 then sees x via
 // contains() and must also see it in a subsequent range query — is only
-// testable if we can force a thread to stall in that window. These hooks are
-// no-ops (one relaxed load) unless a test installs a callback.
+// testable if we can force a thread to stall in that window. The inline
+// newest version adds two more windows, one in an update's claim and one in
+// the cleaner's pass. These hooks are no-ops (one relaxed load) unless a
+// test installs a callback.
 
 #include <atomic>
 
@@ -24,6 +26,16 @@ struct SyncHooks {
   /// bundle entry is finalized — the window the pending protocol protects.
   inline static std::atomic<Fn> before_finalize{nullptr};
 
+  /// Fired inside Bundle::prepare() after the claim (stamp PENDING) and
+  /// the push of the superseded pair onto the chain, before the new
+  /// pointer is stored inline.
+  inline static std::atomic<Fn> after_claim{nullptr};
+
+  /// Fired inside Bundle::reclaim_older() between its load of the chain
+  /// root and its load of the inline stamp — the window whose order keeps
+  /// a concurrent update's pushed pair from being cut.
+  inline static std::atomic<Fn> reclaim_between_loads{nullptr};
+
   /// Fired inside RqTracker::begin() after the query has read the global
   /// timestamp but before it replaces its PENDING announce with that value —
   /// the window oldest_active() must wait out.
@@ -36,6 +48,8 @@ struct SyncHooks {
   static void reset() {
     after_prepare.store(nullptr, std::memory_order_relaxed);
     before_finalize.store(nullptr, std::memory_order_relaxed);
+    after_claim.store(nullptr, std::memory_order_relaxed);
+    reclaim_between_loads.store(nullptr, std::memory_order_relaxed);
     rq_mid_announce.store(nullptr, std::memory_order_relaxed);
   }
 };

@@ -217,7 +217,8 @@ class BundledCitrus {
   size_t size_slow() const { return to_vector().size(); }
 
   bool check_invariants() const {
-    // BST order with interval bounds; bundle heads match newest children.
+    // BST order with interval bounds; bundles' newest links match the
+    // children.
     return check_subtree(root_->child[0].load(std::memory_order_acquire),
                          key_min_sentinel<K>(), key_max_sentinel<K>()) &&
            root_->bundles[0].newest() ==

@@ -222,8 +222,8 @@ class BundledList {
 
   size_t size_slow() const { return to_vector().size(); }
 
-  /// Structural invariants: strictly sorted live chain, bundle heads match
-  /// newest pointers, bundle timestamps strictly ordered.
+  /// Structural invariants: strictly sorted live chain, bundles' newest
+  /// links match newest pointers, bundle timestamps strictly ordered.
   bool check_invariants() const {
     K prev = key_min_sentinel<K>();
     for (Node* n = head_; n != tail_;

@@ -36,14 +36,16 @@ class BundledSkipList {
  public:
   static constexpr int kMaxHeight = 20;
 
-  /// A 32-byte header followed by exactly top_level + 1 tower links, so
-  /// next(0) sits at offset 32. The header leads with what one data-layer
-  /// hop reads (key, val, bundle head), so a hop touches one node line
-  /// (DESIGN.md §11). Nodes are pooled blocks of exactly that size, one
-  /// size class per height, from EntryPool (core/entry_pool.h): the pool
-  /// constructs a block once, create() reinitializes it, destroy() hands
-  /// it back to its owner's slot. The constructor and destructor are
-  /// private, so a plain `new` or `delete` does not compile.
+  /// A 48-byte header followed by exactly top_level + 1 tower links, so
+  /// next(0) sits at offset 48. The header leads with what one data-layer
+  /// hop reads (key, val, the bundle's inline stamp and pointer: bytes 0
+  /// to 32), so a hop whose snapshot takes the newest version touches one
+  /// node line and no bundle entry (DESIGN.md §11). Nodes are pooled
+  /// blocks of exactly that size, one size class per height, from
+  /// EntryPool (core/entry_pool.h): the pool constructs a block once,
+  /// create() reinitializes it, destroy() hands it back to its owner's
+  /// slot. The constructor and destructor are private, so a plain `new` or
+  /// `delete` does not compile.
   struct Node {
     K key;
     V val;
@@ -66,8 +68,7 @@ class BundledSkipList {
     }
 
     /// Sentinels are built on the constructing thread, whose dense id is
-    /// unknown, so like Bundle::init they take the tagged heap path. Every
-    /// link starts null.
+    /// unknown, so they take the tagged heap path. Every link starts null.
     static Node* create_sentinel(K key) {
       return init(EntryPool<Node>::acquire_unpooled(kMaxHeight - 1), key,
                   V{});
@@ -82,7 +83,8 @@ class BundledSkipList {
 
     // EntryPool duck typing: one size class per height; the free-list link
     // is next(0), unused once EBR's grace period has passed; key, val and
-    // the bundle head are ASan-poisoned while pooled.
+    // the bundle (inline pair and chain root) are ASan-poisoned while
+    // pooled.
     static constexpr int kPoolClasses = kMaxHeight;
     static constexpr size_t pool_block_bytes(int cls) {
       return sizeof(Node) + sizeof(std::atomic<Node*>) * (cls + 1);
@@ -343,7 +345,7 @@ class BundledSkipList {
 
   bool check_invariants() const {
     // Sorted data layer; every level-l chain is a subsequence of level l-1;
-    // bundle heads match newest level-0 pointers; bundle entry chains are
+    // bundles' newest links match level-0 pointers; bundle versions are
     // timestamp-ordered newest-first.
     K prev = key_min_sentinel<K>();
     for (Node* n = head_; n != tail_;
@@ -399,26 +401,19 @@ class BundledSkipList {
     int count_ = 0;
   };
 
-  /// One data-layer hop at snapshot `ts`. The prefetch of the newest
-  /// successor is only a hint — that node is usually the snapshot's
-  /// successor too, so its line is in flight while the bundle entry is
-  /// fetched — and the result comes from the bundle alone (DESIGN.md §11).
-  static BundleDeref<Node> hop(Node* curr, timestamp_t ts) {
-    __builtin_prefetch(curr->next(0).load(std::memory_order_relaxed));
-    return curr->bundle.dereference(ts);
-  }
-
   /// The bundle walk (Algorithm 3, phases 2-3), the only code that reads
   /// the data layer at a snapshot: from `from`, the head sentinel or a node
-  /// preceding the range, hop() at `ts` past every key below `lo`, then
-  /// append every node up to `hi` to `out`. `from` itself is never
-  /// appended. Returns false, with `out` as it was, when a hop finds no
-  /// entry <= ts: that link postdates the snapshot.
+  /// preceding the range, dereference each bundle at `ts` past every key
+  /// below `lo`, then append every node up to `hi` to `out`. `from` itself
+  /// is never appended. Returns false, with `out` as it was, when a hop
+  /// finds no version <= ts: that link postdates the snapshot. A hop whose
+  /// snapshot takes the newest version reads only the node's first 32
+  /// bytes (DESIGN.md §11).
   bool walk(Node* from, timestamp_t ts, K lo, K hi,
             std::vector<std::pair<K, V>>& out) const {
     const size_t base = out.size();
     for (Node* curr = from;;) {
-      auto d = hop(curr, ts);
+      auto d = curr->bundle.dereference(ts);
       if (!d.found) {
         out.resize(base);
         return false;

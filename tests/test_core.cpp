@@ -94,9 +94,9 @@ TEST(Bundle, DereferenceRespectsTimestamps) {
   Bundle<FakeNode> b;
   FakeNode n0{0}, n1{1}, n2{2};
   b.init(&n0, 0);
-  auto* e1 = b.prepare(0, &n1);
+  auto e1 = b.prepare(0, &n1);
   Bundle<FakeNode>::finalize(e1, 5);
-  auto* e2 = b.prepare(0, &n2);
+  auto e2 = b.prepare(0, &n2);
   Bundle<FakeNode>::finalize(e2, 9);
 
   EXPECT_EQ(b.dereference(0).ptr, &n0);
@@ -111,7 +111,7 @@ TEST(Bundle, DereferenceRespectsTimestamps) {
 TEST(Bundle, DereferenceNotFoundBeforeFirstEntry) {
   Bundle<FakeNode> b;
   FakeNode n{7};
-  auto* e = b.prepare(0, &n);
+  auto e = b.prepare(0, &n);
   Bundle<FakeNode>::finalize(e, 3);
   auto d = b.dereference(2);
   EXPECT_FALSE(d.found);  // link did not exist at ts=2 -> RQ must restart
@@ -146,7 +146,7 @@ TEST(Bundle, DereferenceBlocksOnPendingHead) {
   Bundle<FakeNode> b;
   FakeNode n0{0}, n1{1};
   b.init(&n0, 0);
-  auto* pending = b.prepare(0, &n1);
+  auto pending = b.prepare(0, &n1);
   std::atomic<bool> started{false}, done{false};
   FakeNode* seen = nullptr;
   std::thread reader([&] {
@@ -167,10 +167,10 @@ TEST(Bundle, PrepareBlocksBehindPendingHead) {
   Bundle<FakeNode> b;
   FakeNode n0{0}, n1{1}, n2{2};
   b.init(&n0, 0);
-  auto* first = b.prepare(0, &n1);
+  auto first = b.prepare(0, &n1);
   std::atomic<bool> done{false};
   std::thread competitor([&] {
-    auto* e = b.prepare(1, &n2);  // must wait until `first` finalizes
+    auto e = b.prepare(1, &n2);  // must wait until `first` finalizes
     Bundle<FakeNode>::finalize(e, 9);
     done = true;
   });
@@ -222,11 +222,147 @@ TEST(Bundle, ReclaimSkipsPendingHead) {
   FakeNode n{0};
   b.init(&n, 0);
   Bundle<FakeNode>::finalize(b.prepare(0, &n), 2);
-  auto* pending = b.prepare(0, &n);
+  auto pending = b.prepare(0, &n);
   ebr.pin(0);
   EXPECT_EQ(b.reclaim_older(10, ebr, 0), 0u);
   ebr.unpin(0);
   Bundle<FakeNode>::finalize(pending, 3);
+}
+
+// ---------- the inline newest version's two windows ----------
+
+namespace bundle_stall_test {
+std::atomic<bool> entered{false};
+std::atomic<bool> release{false};
+void stall() {
+  entered.store(true, std::memory_order_release);
+  while (!release.load(std::memory_order_acquire)) cpu_relax();
+}
+void arm(std::atomic<SyncHooks::Fn>& slot) {
+  entered = false;
+  release = false;
+  slot.store(&stall, std::memory_order_relaxed);
+}
+// Wait until a thread is parked in the armed window, then disarm it so
+// only that thread stalls.
+void await_stalled() {
+  while (!entered.load(std::memory_order_acquire)) cpu_relax();
+  SyncHooks::reset();
+}
+// What a snapshot at `s` must return from a version list (newest first):
+// the newest version stamped <= s, or nullptr when there is none.
+FakeNode* expected_at(const std::vector<std::pair<timestamp_t, FakeNode*>>& v,
+                      timestamp_t s) {
+  for (const auto& [ts, ptr] : v)
+    if (ts <= s) return ptr;
+  return nullptr;
+}
+}  // namespace bundle_stall_test
+
+// An update stalled between its claim (and push of the superseded pair)
+// and its pointer store. Snapshots older than its stamp must get the old
+// link back from the chain once it finalizes, newer ones the new link.
+// Under T = 2 the stalled update shares the previous update's stamp, so
+// the snapshot taken during the stall already covers it.
+class BundleClaimWindow : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BundleClaimWindow, OlderSnapshotsFindTheSupersededLink) {
+  using namespace bundle_stall_test;
+  GlobalTimestamp gts(GetParam());
+  Bundle<FakeNode> b;
+  FakeNode n0{0}, n1{1}, n2{2};
+  b.init(&n0, 0);
+  // tid 0 spends one relaxed-mode reuse first, so the next update ticks
+  // the clock: the link reads (n1, 1) over (n0, 0) under both policies.
+  if (GetParam() > 1) gts.update_ts(0);
+  ASSERT_EQ(linearize_update<FakeNode>(gts, 0, {{&b, &n1}}, [] {}), 1u);
+  const auto before = b.snapshot_entries();
+
+  arm(SyncHooks::after_claim);
+  timestamp_t stamp = 0;
+  std::thread updater([&] {
+    stamp = linearize_update<FakeNode>(gts, 1, {{&b, &n2}}, [] {});
+  });
+  await_stalled();
+  // Inside the window: the link is claimed, the superseded pair is on the
+  // chain and the new pointer is not yet stored.
+  const auto mid = b.snapshot_entries();
+  ASSERT_EQ(mid.size(), 3u);
+  EXPECT_EQ(mid[0], std::make_pair(kPendingTs, &n1));
+  EXPECT_EQ(mid[1], before[0]);
+  EXPECT_EQ(mid[2], before[1]);
+  // A query whose snapshot is taken now waits out the claim.
+  const timestamp_t during = gts.read();
+  std::atomic<bool> done{false};
+  BundleDeref<FakeNode> seen;
+  std::thread reader([&] {
+    seen = b.dereference(during);
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());  // one-sided: a slow reader only makes it vacuous
+  release = true;
+  updater.join();
+  reader.join();
+
+  EXPECT_EQ(stamp, GetParam() == 1 ? 2u : 1u);
+  EXPECT_TRUE(seen.found);
+  EXPECT_EQ(seen.ptr, stamp > during ? expected_at(before, during) : &n2);
+  const auto d_old = b.dereference(stamp - 1);
+  EXPECT_EQ(d_old.found, expected_at(before, stamp - 1) != nullptr);
+  EXPECT_EQ(d_old.ptr, expected_at(before, stamp - 1));
+  EXPECT_EQ(b.dereference(stamp).ptr, &n2);
+  EXPECT_EQ(b.newest(), &n2);
+  const auto after = b.snapshot_entries();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0], std::make_pair(stamp, &n2));
+  for (size_t i = 1; i < after.size(); ++i)
+    EXPECT_GE(after[i - 1].first, after[i].first);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, BundleClaimWindow,
+                         ::testing::Values(uint64_t{1}, uint64_t{2}),
+                         [](const auto& info) {
+                           return "T" + std::to_string(info.param);
+                         });
+
+// A cleaner stalled between its chain-root load and its stamp load while
+// an update claims, pushes and finalizes. The pair that update superseded
+// is what a snapshot between the two stamps needs, so the pass must not
+// cut it: loading the stamp first would see it cover oldest_active and
+// cut the chain the update just pushed to.
+TEST(Bundle, CleanerBetweenRootAndStampKeepsThePushedPair) {
+  using namespace bundle_stall_test;
+  Ebr ebr;
+  Bundle<FakeNode> b;
+  FakeNode n0{0}, n1{1}, n2{2};
+  b.init(&n0, 0);
+  Bundle<FakeNode>::finalize(b.prepare(0, &n1), 5);  // (n1, 5) over (n0, 0)
+
+  arm(SyncHooks::reclaim_between_loads);
+  size_t pruned = 0;
+  std::thread cleaner([&] {
+    ebr.pin(1);
+    pruned = b.reclaim_older(/*oldest_active=*/5, ebr, 1);
+    ebr.unpin(1);
+  });
+  await_stalled();
+  Bundle<FakeNode>::finalize(b.prepare(0, &n2), 9);
+  release = true;
+  cleaner.join();
+
+  const auto between = b.dereference(7);
+  EXPECT_TRUE(between.found);
+  EXPECT_EQ(between.ptr, &n1);
+  EXPECT_EQ(b.dereference(5).ptr, &n1);
+  EXPECT_EQ(b.dereference(9).ptr, &n2);
+  EXPECT_EQ(pruned, 0u);
+  // The next pass, with nothing in flight, keeps (n1, 5) and cuts below it.
+  ebr.pin(0);
+  EXPECT_EQ(b.reclaim_older(5, ebr, 0), 1u);
+  ebr.unpin(0);
+  EXPECT_EQ(b.dereference(7).ptr, &n1);
+  EXPECT_FALSE(b.dereference(4).found);
 }
 
 // ---------- linearize_update ----------

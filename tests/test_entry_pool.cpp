@@ -147,6 +147,39 @@ TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   EXPECT_TRUE(sl.check_invariants());
 }
 
+// No pooled entry per present key: each link's newest version lives inline
+// in its node, and chains hold only superseded versions. Once the updaters
+// quiesce, no range query is active, so one prune pass finds every inline
+// stamp covering oldest_active and cuts every chain; draining EBR then hands
+// back every entry the churn took, those of removed nodes included.
+TEST(EntryPool, QuiescentPrunedSkipListHoldsNoEntries) {
+  EntryPoolRegistry::instance().set_pooling_enabled(true);
+  SkipList sl(1, /*reclaim=*/true);
+  constexpr int kUpdaters = 2;
+  const EntryPoolStats before = SkipEntryPool::instance().stats();
+  testutil::run_threads(kUpdaters, [&](int tid) {
+    Xoshiro256 rng(57 + tid);
+    for (int i = 0; i < 20000; ++i) {
+      const KeyT k = 1 + static_cast<KeyT>(rng.next_range(2048));
+      if (rng.next_range(2) == 0)
+        sl.insert(tid, k, k);
+      else
+        sl.remove(tid, k);
+    }
+  });
+  ASSERT_GT(sl.size_slow(), 0u);
+  sl.prune_bundles(kUpdaters);
+  sl.ebr().free_all_unsafe();
+  EntryPoolStats churn = SkipEntryPool::instance().stats();
+  churn -= before;
+  ASSERT_GT(churn.hits + churn.misses, 0u) << "the churn took no entry";
+  EXPECT_EQ(churn.hits + churn.misses, churn.recycled)
+      << "entries still held after a quiescent prune and EBR drain";
+  EXPECT_EQ(sl.total_bundle_entries(), sl.size_slow() + 2)
+      << "one inline version per node, sentinels included";
+  EXPECT_TRUE(sl.check_invariants());
+}
+
 // Churn + aggressive maintenance + concurrent range queries. Entries
 // recycle at the highest rate the cleaner can drive while readers walk the
 // very chains being pruned; EBR's grace period is the only thing making
@@ -207,7 +240,7 @@ TEST(NodePool, EveryHeightRoundTripsAtExactSize) {
   constexpr int kTid = 8;
   char* expect = nullptr;
   for (int h = 0; h < SkipList::kMaxHeight; ++h) {
-    const size_t bytes = 32 + 8 * static_cast<size_t>(h + 1);
+    const size_t bytes = 48 + 8 * static_cast<size_t>(h + 1);
     EXPECT_EQ(NodePool::block_bytes(h), bytes);
     // Packed: no allocator header, no padding; only ASan's redzone.
     EXPECT_EQ(NodePool::stride(h), bytes + NodePool::kRedzoneBytes);

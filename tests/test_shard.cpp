@@ -109,7 +109,9 @@ TEST(ShardPartition, OpsMatchModelAndKeysStayInTheirShards) {
         ValT v = 0;
         const auto it = model.find(k);
         EXPECT_EQ(sess.contains(k, &v), it != model.end());
-        if (it != model.end()) EXPECT_EQ(v, it->second);
+        if (it != model.end()) {
+          EXPECT_EQ(v, it->second);
+        }
         break;
       }
     }
@@ -773,10 +775,12 @@ TEST(Maintenance, TypeErasedMaintainHookSumsShardDuties) {
 // Bundled skip-list towers (right-sized, DESIGN.md §11).
 // ---------------------------------------------------------------------------
 
-// A data-layer hop reads key, val and the bundle head from the node's first
-// cache line; a field added to the header must not push next(0) off it.
-static_assert(sizeof(BundledSkipList<int64_t, int64_t>::Node) == 32,
-              "skip-list node header must stay 32 bytes");
+// A data-layer hop reads key, val and the bundle's inline (stamp, pointer)
+// pair, the first 32 bytes of the header; the chain root, owner tag,
+// height, lock and flags fill it to 48, and a field added to the header
+// must not push next(0) further out.
+static_assert(sizeof(BundledSkipList<int64_t, int64_t>::Node) == 48,
+              "skip-list node header must stay 48 bytes");
 
 // Every node carries exactly top_level + 1 links, so a link read past a
 // node's own tower lands in the poisoned redzone the node pool puts after
