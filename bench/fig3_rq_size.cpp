@@ -7,6 +7,7 @@
 // linearizable competitor's throughput relative to the family's Unsafe
 // baseline.
 
+#include <cstdio>
 #include <memory>
 #include <string>
 
@@ -70,7 +71,14 @@ int main(int argc, char** argv) {
   if (!args.has("--duration")) base.duration_ms = 120;
   print_header("fig3 rq-size sweep", base);
   const std::string ds = args.get_str("--ds", "both");
-  if (ds == "sl" || ds == "both") run_family("skiplist", "skip list", base);
-  if (ds == "ct" || ds == "both") run_family("citrus", "citrus tree", base);
+  const bool sl = ds == "sl" || ds == "skiplist" || ds == "both";
+  const bool ct = ds == "ct" || ds == "citrus" || ds == "both";
+  if (!sl && !ct) {
+    std::fprintf(stderr, "fig3_rq_size: --ds takes skiplist (sl), citrus "
+                         "(ct) or both\n");
+    return 2;
+  }
+  if (sl) run_family("skiplist", "skip list", base);
+  if (ct) run_family("citrus", "citrus tree", base);
   return 0;
 }

@@ -15,9 +15,11 @@
 // acquisition remains globally ordered by descending key, so the change
 // cannot deadlock.
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +37,9 @@ template <typename K, typename V>
 class BundledSkipList {
  public:
   static constexpr int kMaxHeight = 20;
+  /// Most cursors one snapshot walk advances at once (walk(), DESIGN.md
+  /// §4 and §11).
+  static constexpr int kMaxCursors = 8;
 
   /// A 48-byte header followed by exactly top_level + 1 tower links, so
   /// next(0) sits at offset 48. The header leads with what one data-layer
@@ -246,8 +251,9 @@ class BundledSkipList {
   }
 
   /// Linearizable range query: index layers route to the data-layer node
-  /// preceding the range; from there the walk uses bundles only. If that
-  /// node postdates the snapshot, the query restarts at a newer timestamp.
+  /// preceding the range; from there the walk uses bundles only, with as
+  /// many cursors as the seek's tower suggests (plan()). If that node
+  /// postdates the snapshot, the query restarts at a newer timestamp.
   /// `ts_out`, when given, receives the snapshot timestamp the query
   /// linearized at (surfaced as RangeSnapshot::timestamp()).
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
@@ -263,17 +269,17 @@ class BundledSkipList {
     Node* succs[kMaxHeight];
     const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
       find(lo, preds, succs);
-      return walk(preds[0], ts, lo, hi, out);
+      return walk(plan(preds, succs, lo, hi), ts, lo, hi, out);
     });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
   /// Ablation of the index-assisted entry (Section 5): reach the range by
-  /// walking the data layer through bundles from the head sentinel,
-  /// ignoring the index layers entirely. Returns the identical snapshot;
-  /// quantifies what the index-layer routing saves (O(n) bundle hops vs
-  /// O(log n) plain-pointer hops to the range).
+  /// walking the data layer through bundles from the head sentinel with
+  /// one cursor, ignoring the index layers entirely. Returns the identical
+  /// snapshot; quantifies what the index-layer routing saves (O(n) bundle
+  /// hops vs O(log n) plain-pointer hops to the range).
   size_t range_query_from_start(int tid, K lo, K hi,
                                 std::vector<std::pair<K, V>>& out,
                                 timestamp_t* ts_out = nullptr) {
@@ -285,7 +291,7 @@ class BundledSkipList {
     }
     OptEbrGuard g(ebr_, tid, reclaim_);
     const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
-      return walk(head_, ts, lo, hi, out);
+      return walk({head_, head_, 0, 1}, ts, lo, hi, out);
     });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
@@ -298,7 +304,8 @@ class BundledSkipList {
   /// Index layers route to the data-layer node preceding the range as
   /// usual; if the walk from that node fails (it postdates ts), re-enter
   /// through the head sentinel's bundle rather than restarting at a newer
-  /// timestamp (there is none to take).
+  /// timestamp (there is none to take). Either way the later cursors enter
+  /// at their own seeks from the seek for lo.
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
@@ -308,7 +315,10 @@ class BundledSkipList {
     const size_t base = out.size();
     RqTracker::collect_at([&] {
       find(lo, preds, succs);  // preds[0]: data-layer node with key < lo
-      return walk(preds[0], ts, lo, hi, out) || walk(head_, ts, lo, hi, out);
+      Plan p = plan(preds, succs, lo, hi);
+      if (walk(p, ts, lo, hi, out)) return true;
+      p.from = head_;
+      return walk(p, ts, lo, hi, out);
     });
     return out.size() - base;
   }
@@ -342,6 +352,24 @@ class BundledSkipList {
   }
 
   size_t size_slow() const { return to_vector().size(); }
+
+  /// Cursors a range query over [lo, hi] would walk with now.
+  int cursor_count(K lo, K hi) const {
+    Node* preds[kMaxHeight];
+    Node* succs[kMaxHeight];
+    find(lo, preds, succs);
+    return plan(preds, succs, lo, hi).n;
+  }
+
+  /// First key of cursor i's sub-range when `n` cursors split [lo, hi] by
+  /// key width: cursor i collects [cursor_start(i), cursor_start(i + 1) -
+  /// 1], and the last one up to hi.
+  static K cursor_start(K lo, K hi, int i, int n) {
+    static_assert(std::is_integral_v<K>, "cursors split keys by width");
+    using U = std::make_unsigned_t<K>;
+    const U step = (static_cast<U>(hi) - static_cast<U>(lo)) / U(n);
+    return static_cast<K>(static_cast<U>(lo) + step * U(i));
+  }
 
   bool check_invariants() const {
     // Sorted data layer; every level-l chain is a subsequence of level l-1;
@@ -401,27 +429,143 @@ class BundledSkipList {
     int count_ = 0;
   };
 
-  /// The bundle walk (Algorithm 3, phases 2-3), the only code that reads
-  /// the data layer at a snapshot: from `from`, the head sentinel or a node
-  /// preceding the range, dereference each bundle at `ts` past every key
-  /// below `lo`, then append every node up to `hi` to `out`. `from` itself
-  /// is never appended. Returns false, with `out` as it was, when a hop
-  /// finds no version <= ts: that link postdates the snapshot. A hop whose
-  /// snapshot takes the newest version reads only the node's first 32
-  /// bytes (DESIGN.md §11).
-  bool walk(Node* from, timestamp_t ts, K lo, K hi,
-            std::vector<std::pair<K, V>>& out) const {
-    const size_t base = out.size();
-    for (Node* curr = from;;) {
-      auto d = curr->bundle.dereference(ts);
+  /// Where a walk starts and how many cursors it advances (walk()).
+  struct Plan {
+    Node* from;    // cursor 0's entry: the seek's preds[0] or the head sentinel
+    Node* finger;  // the seek's preds[top]: later cursors seek on from it
+    int top;       // the finger's level
+    int n;         // cursors, 1 to kMaxCursors
+  };
+
+  /// The plan for [lo, hi] from the seek for lo. `top` is the highest level
+  /// whose successor of lo is still <= hi, so the range holds about 2^top
+  /// nodes, and a cursor pays for its seek from 16 nodes on: 2^top / 16
+  /// cursors, at least 1 and at most kMaxCursors, and no more than one per
+  /// 16 keys of width, so an empty or short range keeps one cursor and no
+  /// extra seek. In a quiescent list a successor's key grows with its
+  /// level, so the scan climbs from level 0 and stops at the first one past
+  /// hi. Under updates the count is an estimate; every preds[l] is below
+  /// lo, so any `top` gives a valid finger.
+  Plan plan(Node* const* preds, Node* const* succs, K lo, K hi) const {
+    int top = 0;
+    while (top + 1 < kMaxHeight && succs[top + 1] != tail_ &&
+           succs[top + 1]->key <= hi)
+      ++top;
+    using U = std::make_unsigned_t<K>;
+    const U width = static_cast<U>(hi) - static_cast<U>(lo);
+    const U by_tower =
+        top < 5 ? 1 : std::min<U>(U{1} << (top - 4), kMaxCursors);
+    return {preds[0], preds[top], top,
+            static_cast<int>(std::min<U>(by_tower, width / 16 + 1))};
+  }
+
+  /// The data-layer node preceding `key`, seeking down from `pred`, a node
+  /// below `key` on level `top` that a seek begun after the clock read
+  /// reached.
+  Node* seek_from(Node* pred, int top, K key) const {
+    for (int l = top; l >= 0; --l) {
+      Node* curr = pred->next(l).load(std::memory_order_acquire);
+      while (curr->key < key) {
+        pred = curr;
+        curr = curr->next(l).load(std::memory_order_acquire);
+      }
+    }
+    return pred;
+  }
+
+  using Items = std::vector<std::pair<K, V>>;
+
+  /// Staging for cursors 1 to kMaxCursors - 1, per thread. It keeps its
+  /// capacity between walks, up to kStageKeep pairs a cursor.
+  static Items* stage() {
+    thread_local Items s[kMaxCursors - 1];
+    return s;
+  }
+  static constexpr size_t kStageKeep = size_t{1} << 12;
+
+  /// The snapshot walk (Algorithm 3, phases 2-3), the only code that reads
+  /// the data layer at a snapshot. `p.n` cursors split [lo, hi] by key
+  /// width (cursor_start()). Cursor 0 enters at `p.from`, the head sentinel
+  /// or the node preceding the range; cursor i > 0 seeks its first key on
+  /// from the seek for lo (seek_from() at `p.finger`) and enters at the
+  /// data-layer node preceding it. Every entry dereferences its node's
+  /// bundle at `ts`, so an entry node is never appended. The cursors then
+  /// advance round-robin, one hop each: a hop skips keys below the
+  /// cursor's sub-range, appends the rest of it and prefetches the node its
+  /// dereference returned, so up to n misses are in flight at once
+  /// (DESIGN.md §11). A later cursor whose entry postdates the snapshot is
+  /// dropped, and the cursor before it runs on through its sub-range.
+  /// Cursor 0 appends to `out`; the others stage in per-thread buffers
+  /// (stage()) that `out` takes in order at the end. Returns false, with
+  /// `out` as it was, when cursor 0's entry or any later hop finds no
+  /// version <= ts: that link postdates the snapshot. A hop whose snapshot
+  /// takes the newest version reads only the node's first 32 bytes
+  /// (DESIGN.md §11).
+  bool walk(const Plan& p, timestamp_t ts, K lo, K hi, Items& out) const {
+    struct Cursor {
+      Node* at;  // next node to visit (prefetched); null once done
+      K first;   // the cursor collects [first, last]
+      K last;
+      Items* dest;
+    };
+    Cursor cur[kMaxCursors];
+    Items* const staged = p.n > 1 ? stage() : nullptr;
+    int used = 0;
+    for (int i = 0; i < p.n; ++i) {
+      const K first = i == 0 ? lo : cursor_start(lo, hi, i, p.n);
+      Node* const entry = i == 0 ? p.from : seek_from(p.finger, p.top, first);
+      const auto d = entry->bundle.dereference(ts);
       if (!d.found) {
-        out.resize(base);
+        if (i == 0) return false;
+        continue;  // dropped: the cursor before runs on
+      }
+      __builtin_prefetch(d.ptr);
+      if (used > 0) {
+        cur[used - 1].last = first - 1;
+        staged[used - 1].clear();
+      }
+      cur[used] = {d.ptr, first, hi, used == 0 ? &out : &staged[used - 1]};
+      ++used;
+    }
+    const size_t base = out.size();
+    bool failed = false;
+    // One hop of `c`; false once the cursor is done or its hop failed.
+    auto hop = [&](Cursor& c) {
+      Node* const x = c.at;
+      if (x == tail_ || x->key > c.last) return false;
+      if (x->key >= c.first) c.dest->emplace_back(x->key, x->val);
+      const auto d = x->bundle.dereference(ts);
+      if (!d.found) {
+        failed = true;
         return false;
       }
-      curr = d.ptr;
-      if (curr == tail_ || curr->key > hi) return true;
-      if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
+      __builtin_prefetch(d.ptr);
+      c.at = d.ptr;
+      return true;
+    };
+    if (used == 1) {
+      Cursor c = cur[0];  // a local, so the chain stays in registers
+      while (hop(c)) {
+      }
+    } else {
+      for (int live = used; live > 0 && !failed;) {
+        for (Cursor* c = cur; c != cur + used; ++c) {
+          if (c->at != nullptr && !hop(*c)) {
+            c->at = nullptr;
+            --live;
+          }
+        }
+      }
     }
+    if (failed) {
+      out.resize(base);
+      return false;
+    }
+    for (int i = 0; i + 1 < used; ++i) {
+      out.insert(out.end(), staged[i].begin(), staged[i].end());
+      if (staged[i].capacity() > kStageKeep) staged[i] = Items();
+    }
+    return true;
   }
 
   int find(K key, Node** preds, Node** succs) const {

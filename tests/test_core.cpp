@@ -525,8 +525,31 @@ TEST(EntryPathAblation, ListPathsReturnIdenticalSnapshots) {
   expect_entry_paths_agree_quiescent<BundleListSet>();
 }
 
+// Ranges of 500-2,000 keys on a dense skip list: the tower gives them the
+// walk's 8 cursors, and both cursor walks must return the one-cursor walk's
+// snapshot (range_query_from_start keeps one cursor).
 TEST(EntryPathAblation, SkipListPathsReturnIdenticalSnapshots) {
   expect_entry_paths_agree_quiescent<BundleSkipListSet>();
+  BundleSkipListSet ds;
+  Xoshiro256 rng(13);
+  for (KeyT k = 1; k <= 8000; ++k)
+    if (rng.next_range(4) != 0) ds.insert(0, k, k * 7);
+  std::vector<std::pair<KeyT, ValT>> one, multi, at;
+  int eight = 0;
+  for (int i = 0; i < 50; ++i) {
+    const KeyT lo = 1 + static_cast<KeyT>(rng.next_range(6000));
+    const KeyT hi = lo + 499 + static_cast<KeyT>(rng.next_range(1501));
+    eight += ds.cursor_count(lo, hi) == BundleSkipListSet::kMaxCursors;
+    ds.range_query_from_start(0, lo, hi, one);
+    ds.range_query(0, lo, hi, multi);
+    EXPECT_EQ(multi, one) << "range [" << lo << "," << hi << "]";
+    at.clear();
+    const timestamp_t ts = ds.rq_tracker().begin(1, ds.global_timestamp());
+    ds.range_query_at(1, ts, lo, hi, at);
+    ds.rq_tracker().end(1);
+    EXPECT_EQ(at, one) << "range [" << lo << "," << hi << "]";
+  }
+  EXPECT_GE(eight, 40);
 }
 
 template <typename DS>
@@ -588,6 +611,13 @@ void insert_15_once() {
   SyncHooks::rq_mid_announce.store(nullptr, std::memory_order_relaxed);
   target<DS>->insert(0, 15, 15);
 }
+
+// The same hook for any key: `key` right after the clock read.
+KeyT key = 0;
+void insert_key_once() {
+  SyncHooks::rq_mid_announce.store(nullptr, std::memory_order_relaxed);
+  target<BundleSkipListSet>->insert(0, key, key);
+}
 }  // namespace rq_entry_test
 
 using Items = std::vector<std::pair<KeyT, ValT>>;
@@ -642,6 +672,43 @@ TEST(RqEntryPolicy, ListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
 
 TEST(RqEntryPolicy, SkipListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
   expect_range_query_restarts<BundleSkipListSet>();
+}
+
+// A later cursor's seek that lands on a node newer than the snapshot drops
+// that cursor, and the cursor before it runs on through its sub-range: the
+// query keeps its first timestamp (no restart) and range_query_at keeps the
+// seek for lo (no head re-entry).
+TEST(RqEntryPolicy, SkipListDropsACursorWhoseSeekPostdatesSnapshot) {
+  using DS = BundleSkipListSet;
+  constexpr int kCursors = DS::kMaxCursors;
+  constexpr KeyT lo = 10, hi = 40960;
+  DS ds;
+  for (KeyT k = lo; k <= hi; k += 10) ds.insert(0, k, k);
+  ASSERT_EQ(ds.cursor_count(lo, hi), kCursors);
+  // The key just below cursor i's first key; none is a multiple of 10.
+  auto below = [&](int i) { return DS::cursor_start(lo, hi, i, kCursors) - 1; };
+  for (int i = 1; i < kCursors; ++i) ASSERT_FALSE(ds.contains(0, below(i)));
+  const Items snap = ds.to_vector();
+  const timestamp_t held = ds.rq_tracker().begin(2, ds.global_timestamp());
+  rq_entry_test::target<DS> = &ds;
+  rq_entry_test::key = below(3);
+  SyncHooks::rq_mid_announce.store(&rq_entry_test::insert_key_once,
+                                   std::memory_order_relaxed);
+  Items out;
+  timestamp_t ts = 0;
+  ds.range_query(1, lo, hi, out, &ts);
+  SyncHooks::reset();
+  EXPECT_EQ(ts, held);  // the first attempt's timestamp: no restart
+  EXPECT_EQ(out, snap);
+  EXPECT_TRUE(ds.contains(0, below(3)));
+  // Two more seeks newer than `held`: cursors 3, 5 and 6 drop, cursor 2
+  // runs on through cursor 3's sub-range and cursor 4 through 5's and 6's.
+  ds.insert(0, below(5), below(5));
+  ds.insert(0, below(6), below(6));
+  Items at;
+  EXPECT_EQ(ds.range_query_at(2, held, lo, hi, at), snap.size());
+  EXPECT_EQ(at, snap);
+  ds.rq_tracker().end(2);
 }
 
 // A range starting at the smallest key must not return the head sentinel,

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -160,6 +161,28 @@ TEST(Protocol, ResponseDecodeRoundTrip) {
   off += advance;
   ASSERT_TRUE(decode_reply(Op::kStats, f, &r));
   EXPECT_EQ(r.text, "{\"x\": 1}");
+}
+
+// A RANGE reply's exact bytes, appended after an earlier reply: negative
+// keys and the extreme values, each little-endian.
+TEST(Protocol, RangeReplyBytesArePinned) {
+  std::vector<uint8_t> b;
+  encode_status(b, Status::kNo);
+  encode_range_response(b, 0x0102030405060708ull,
+                        {{-2, std::numeric_limits<ValT>::min()},
+                         {-1, std::numeric_limits<ValT>::max()}});
+  const uint8_t no = static_cast<uint8_t>(Status::kNo);
+  const uint8_t ok = static_cast<uint8_t>(Status::kOk);
+  const std::vector<uint8_t> want = {
+      1,    0,    0,    0,    no,                          // earlier reply
+      45,   0,    0,    0,    ok,                          // 1 + 8 + 4 + 2 * 16
+      8,    7,    6,    5,    4,    3,    2,    1,         // ts
+      2,    0,    0,    0,                                 // n
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,      // key -2
+      0,    0,    0,    0,    0,    0,    0,    0x80,      // INT64_MIN
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,      // key -1
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f};     // INT64_MAX
+  EXPECT_EQ(b, want);
 }
 
 // A frame delivered one byte at a time parses exactly once, at the final

@@ -188,21 +188,29 @@ TEST_P(LinRqProperty, CompletedUpdateVisibleToLaterRangeQuery) {
   EXPECT_EQ(violations.load(), 0);
 }
 
+/// The state a burst starts from, as sequential inserts that all precede
+/// the burst in real time.
+validation::History prefix_history(
+    const std::vector<std::pair<KeyT, ValT>>& items) {
+  validation::History pre;
+  for (const auto& [k, v] : items) {
+    validation::Op op;
+    op.kind = validation::OpKind::kInsert;
+    op.key = k;
+    op.val = v;
+    op.result = true;
+    op.invoke_ns = 2 * pre.size();
+    op.response_ns = 2 * pre.size() + 1;
+    pre.push_back(op);
+  }
+  return pre;
+}
+
 TEST_P(LinRqProperty, ConcurrentBurstsPassWingGongAudit) {
   // Short recorded bursts over 3 hot keys, audited exhaustively. This is
   // the registry-driven twin of the typed RecordedAudit suite.
   for (int burst = 0; burst < 15; ++burst) {
-    validation::History pre;
-    for (auto& [k, v] : ds.to_vector()) {
-      validation::Op op;
-      op.kind = validation::OpKind::kInsert;
-      op.key = k;
-      op.val = v;
-      op.result = true;
-      op.invoke_ns = 2 * pre.size();
-      op.response_ns = 2 * pre.size() + 1;
-      pre.push_back(op);
-    }
+    const validation::History pre = prefix_history(ds.to_vector());
     std::vector<validation::ThreadLog> logs;
     for (int t = 0; t < 3; ++t) logs.emplace_back(t);
     testutil::run_threads(3, [&](int t) {
@@ -251,6 +259,63 @@ TEST_P(LinRqProperty, ConcurrentBurstsPassWingGongAudit) {
     ASSERT_TRUE(verdict.linearizable)
         << GetParam() << " burst " << burst << ": " << verdict.message;
   }
+}
+
+// The skip list's cursor boundaries under an audit: each query spans a
+// dense, stable key set that takes 8 cursors, and only the keys on either
+// side of each later cursor's first key churn, so a seek can land on a node
+// newer than its snapshot and drop its cursor mid-burst.
+TEST(CursorBoundaries, SkipListBurstsPassWingGongAudit) {
+  using DS = BundleSkipListSet;
+  constexpr KeyT lo = 1, hi = 2048;
+  DS ds;
+  for (KeyT k = lo; k <= hi; ++k) ds.insert(0, k, k);
+  ASSERT_EQ(ds.cursor_count(lo, hi), DS::kMaxCursors);
+  std::vector<KeyT> hot;
+  for (int i = 1; i < DS::kMaxCursors; ++i) {
+    const KeyT first = DS::cursor_start(lo, hi, i, DS::kMaxCursors);
+    hot.push_back(first - 1);
+    hot.push_back(first);
+  }
+  for (int burst = 0; burst < 20; ++burst) {
+    const validation::History pre = prefix_history(ds.to_vector());
+    std::vector<validation::ThreadLog> logs;
+    for (int t = 0; t < 3; ++t) logs.emplace_back(t);
+    testutil::run_threads(3, [&](int t) {
+      Xoshiro256 rng(burst * 31 + t + 5);
+      std::vector<std::pair<KeyT, ValT>> out;
+      for (int i = 0; i < 4; ++i) {
+        const KeyT k = hot[rng.next_range(hot.size())];
+        const uint64_t t0 = validation::now_ns();
+        switch (rng.next_range(3)) {
+          case 0: {
+            const bool r = ds.insert(t, k, k);
+            logs[t].record_point(validation::OpKind::kInsert, k, k, r, t0,
+                                 validation::now_ns());
+            break;
+          }
+          case 1: {
+            const bool r = ds.remove(t, k);
+            logs[t].record_point(validation::OpKind::kRemove, k, 0, r, t0,
+                                 validation::now_ns());
+            break;
+          }
+          default: {
+            timestamp_t ts = 0;
+            ds.range_query(t, lo, hi, out, &ts);
+            logs[t].record_rq(lo, hi, out, t0, validation::now_ns(), ts);
+            break;
+          }
+        }
+      }
+    });
+    validation::History h = validation::merge(logs);
+    h.insert(h.end(), pre.begin(), pre.end());
+    auto verdict = validation::check_linearizable_with_ts(h);
+    ASSERT_TRUE(verdict.linearizable)
+        << "burst " << burst << ": " << verdict.message;
+  }
+  EXPECT_TRUE(ds.check_invariants());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -444,10 +509,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 template <typename DS>
-void expect_rq_minimality_under_churn() {
+void expect_rq_minimality_under_churn(KeyT width) {
   DS ds;
   constexpr KeyT kSpace = 2000;
   for (KeyT k = 1; k <= kSpace; k += 2) ds.insert(0, k, k);
+  // A wide range over the skip list takes the walk's 8 cursors.
+  if constexpr (requires { ds.cursor_count(KeyT{}, KeyT{}); }) {
+    if (width >= 1000) {
+      ASSERT_EQ(ds.cursor_count(1, 1 + width), 8);
+    }
+  }
   std::atomic<bool> stop{false};
   std::atomic<long> violations{0};
   std::atomic<uint64_t> rqs_done{0};
@@ -455,8 +526,8 @@ void expect_rq_minimality_under_churn() {
     std::vector<std::pair<KeyT, ValT>> out;
     Xoshiro256 rng(77);
     while (!stop.load(std::memory_order_acquire)) {
-      const KeyT lo = 1 + static_cast<KeyT>(rng.next_range(kSpace - 200));
-      const KeyT hi = lo + 200;
+      const KeyT lo = 1 + static_cast<KeyT>(rng.next_range(kSpace - width));
+      const KeyT hi = lo + width;
       ds.range_query(3, lo, hi, out);
       KeyT prev = lo - 1;
       KeyT odd = lo | 1;  // the next odd key the result must hold
@@ -490,11 +561,17 @@ void expect_rq_minimality_under_churn() {
 }
 
 TEST(RqMinimality, ListVisitsExactlyTheSnapshotInRange) {
-  expect_rq_minimality_under_churn<BundleListSet>();
+  expect_rq_minimality_under_churn<BundleListSet>(200);
 }
 
 TEST(RqMinimality, SkipListVisitsExactlyTheSnapshotInRange) {
-  expect_rq_minimality_under_churn<BundleSkipListSet>();
+  expect_rq_minimality_under_churn<BundleSkipListSet>(200);
+}
+
+// Ranges of ~1,500 of the 2,000 keys: 8 cursors, whose sub-range
+// boundaries the churn crosses.
+TEST(RqMinimality, SkipListWideRangesVisitExactlyTheSnapshot) {
+  expect_rq_minimality_under_churn<BundleSkipListSet>(1500);
 }
 
 // ---------------------------------------------------------------------------
