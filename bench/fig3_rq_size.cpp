@@ -71,11 +71,10 @@ int main(int argc, char** argv) {
   if (!args.has("--duration")) base.duration_ms = 120;
   print_header("fig3 rq-size sweep", base);
   const std::string ds = args.get_str("--ds", "both");
-  const bool sl = ds == "sl" || ds == "skiplist" || ds == "both";
-  const bool ct = ds == "ct" || ds == "citrus" || ds == "both";
+  const bool sl = ds == "sl" || ds == "both";
+  const bool ct = ds == "ct" || ds == "both";
   if (!sl && !ct) {
-    std::fprintf(stderr, "fig3_rq_size: --ds takes skiplist (sl), citrus "
-                         "(ct) or both\n");
+    std::fprintf(stderr, "fig3_rq_size: --ds takes sl, ct or both\n");
     return 2;
   }
   if (sl) run_family("skiplist", "skip list", base);

@@ -40,6 +40,12 @@ class BundledSkipList {
   /// Most cursors one snapshot walk advances at once (walk(), DESIGN.md
   /// §4 and §11).
   static constexpr int kMaxCursors = 8;
+  /// Fewest nodes, as the count of tall nodes estimates them, at which a
+  /// walk takes more than one cursor (plan()). Below it the nodes (64 B on
+  /// average) fit in a 2 MiB core cache, a hop costs about 10 ns, and a
+  /// later cursor's seek and staging cost more than its overlapped misses
+  /// save on ranges of 50-100 keys (DESIGN.md §4).
+  static constexpr int64_t kCursorMinNodes = int64_t{1} << 15;
 
   /// A 48-byte header followed by exactly top_level + 1 tower links, so
   /// next(0) sits at offset 48. The header leads with what one data-layer
@@ -209,6 +215,7 @@ class BundledSkipList {
               preds[l]->next(l).store(fresh, std::memory_order_release);
             fresh->fully_linked.store(true, std::memory_order_release);
           });
+      if (top >= kTallLevel) tall_->fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -241,6 +248,7 @@ class BundledSkipList {
       linearize_update<Node>(
           gts_, tid, {{&preds[0]->bundle, succ0}},
           [&] { victim->marked.store(true, std::memory_order_release); });
+      if (top >= kTallLevel) tall_->fetch_sub(1, std::memory_order_relaxed);
       for (int l = top; l >= 0; --l)
         preds[l]->next(l).store(victim->next(l).load(std::memory_order_acquire),
                                 std::memory_order_release);
@@ -442,35 +450,24 @@ class BundledSkipList {
   /// nodes, and a cursor pays for its seek from 16 nodes on: 2^top / 16
   /// cursors, at least 1 and at most kMaxCursors, and no more than one per
   /// 16 keys of width, so an empty or short range keeps one cursor and no
-  /// extra seek. In a quiescent list a successor's key grows with its
-  /// level, so the scan climbs from level 0 and stops at the first one past
-  /// hi. Under updates the count is an estimate; every preds[l] is below
-  /// lo, so any `top` gives a valid finger.
+  /// extra seek. A list smaller than kCursorMinNodes keeps one cursor
+  /// whatever the range. In a quiescent list a successor's key grows with
+  /// its level, so the scan climbs from level 0 and stops at the first one
+  /// past hi. Under updates the count is an estimate; every preds[l] is
+  /// below lo, so any `top` gives a valid finger.
   Plan plan(Node* const* preds, Node* const* succs, K lo, K hi) const {
     int top = 0;
     while (top + 1 < kMaxHeight && succs[top + 1] != tail_ &&
            succs[top + 1]->key <= hi)
       ++top;
+    if (top < 5 || tall_->load(std::memory_order_relaxed) <
+                       (kCursorMinNodes >> kTallLevel))
+      return {preds[0], preds[top], top, 1};
     using U = std::make_unsigned_t<K>;
     const U width = static_cast<U>(hi) - static_cast<U>(lo);
-    const U by_tower =
-        top < 5 ? 1 : std::min<U>(U{1} << (top - 4), kMaxCursors);
+    const U by_tower = std::min<U>(U{1} << (top - 4), kMaxCursors);
     return {preds[0], preds[top], top,
             static_cast<int>(std::min<U>(by_tower, width / 16 + 1))};
-  }
-
-  /// The data-layer node preceding `key`, seeking down from `pred`, a node
-  /// below `key` on level `top` that a seek begun after the clock read
-  /// reached.
-  Node* seek_from(Node* pred, int top, K key) const {
-    for (int l = top; l >= 0; --l) {
-      Node* curr = pred->next(l).load(std::memory_order_acquire);
-      while (curr->key < key) {
-        pred = curr;
-        curr = curr->next(l).load(std::memory_order_acquire);
-      }
-    }
-    return pred;
   }
 
   using Items = std::vector<std::pair<K, V>>;
@@ -487,12 +484,12 @@ class BundledSkipList {
   /// the data layer at a snapshot. `p.n` cursors split [lo, hi] by key
   /// width (cursor_start()). Cursor 0 enters at `p.from`, the head sentinel
   /// or the node preceding the range; cursor i > 0 seeks its first key on
-  /// from the seek for lo (seek_from() at `p.finger`) and enters at the
-  /// data-layer node preceding it. Every entry dereferences its node's
-  /// bundle at `ts`, so an entry node is never appended. The cursors then
-  /// advance round-robin, one hop each: a hop skips keys below the
-  /// cursor's sub-range, appends the rest of it and prefetches the node its
-  /// dereference returned, so up to n misses are in flight at once
+  /// from the seek for lo (find() from `p.finger` on level `p.top`) and
+  /// enters at the data-layer node preceding it. Every entry dereferences
+  /// its node's bundle at `ts`, so an entry node is never appended. The
+  /// cursors then advance round-robin, one hop each: a hop skips keys below
+  /// the cursor's sub-range, appends the rest of it and prefetches the node
+  /// its dereference returned, so up to n misses are in flight at once
   /// (DESIGN.md §11). A later cursor whose entry postdates the snapshot is
   /// dropped, and the cursor before it runs on through its sub-range.
   /// Cursor 0 appends to `out`; the others stage in per-thread buffers
@@ -513,7 +510,13 @@ class BundledSkipList {
     int used = 0;
     for (int i = 0; i < p.n; ++i) {
       const K first = i == 0 ? lo : cursor_start(lo, hi, i, p.n);
-      Node* const entry = i == 0 ? p.from : seek_from(p.finger, p.top, first);
+      Node* entry = p.from;
+      if (i > 0) {
+        Node* preds[kMaxHeight];
+        Node* succs[kMaxHeight];
+        find(first, preds, succs, p.finger, p.top);
+        entry = preds[0];
+      }
       const auto d = entry->bundle.dereference(ts);
       if (!d.found) {
         if (i == 0) return false;
@@ -543,17 +546,18 @@ class BundledSkipList {
       c.at = d.ptr;
       return true;
     };
-    if (used == 1) {
-      Cursor c = cur[0];  // a local, so the chain stays in registers
-      while (hop(c)) {
+    // Cursor 0 advances from a local, so a one-cursor walk's chain of hops
+    // stays in registers; the later cursors advance in the array.
+    Cursor c0 = cur[0];
+    for (int live = used; live > 0 && !failed;) {
+      if (c0.at != nullptr && !hop(c0)) {
+        c0.at = nullptr;
+        --live;
       }
-    } else {
-      for (int live = used; live > 0 && !failed;) {
-        for (Cursor* c = cur; c != cur + used; ++c) {
-          if (c->at != nullptr && !hop(*c)) {
-            c->at = nullptr;
-            --live;
-          }
+      for (Cursor* c = cur + 1; c != cur + used; ++c) {
+        if (c->at != nullptr && !hop(*c)) {
+          c->at = nullptr;
+          --live;
         }
       }
     }
@@ -569,9 +573,15 @@ class BundledSkipList {
   }
 
   int find(K key, Node** preds, Node** succs) const {
+    return find(key, preds, succs, head_, kMaxHeight - 1);
+  }
+
+  /// The seek for `key` from `pred`, a node below `key` on level `top`:
+  /// fills preds and succs on levels top to 0 and returns the highest of
+  /// them holding `key`, or -1.
+  int find(K key, Node** preds, Node** succs, Node* pred, int top) const {
     int lf = -1;
-    Node* pred = head_;
-    for (int l = kMaxHeight - 1; l >= 0; --l) {
+    for (int l = top; l >= 0; --l) {
       Node* curr = pred->next(l).load(std::memory_order_acquire);
       while (curr->key < key) {
         pred = curr;
@@ -596,6 +606,12 @@ class BundledSkipList {
   const bool reclaim_;
   Node* head_;
   Node* tail_;
+  /// Nodes of height above kTallLevel, one in 2^kTallLevel: insert and
+  /// remove count them, so the count times 2^kTallLevel estimates the
+  /// list's size for plan(). On its own line: it changes on one update in
+  /// 2^kTallLevel, and every operation reads head_.
+  static constexpr int kTallLevel = 8;
+  CachePadded<std::atomic<int64_t>> tall_;
   mutable CachePadded<Xoshiro256> rngs_[kMaxThreads];
 };
 

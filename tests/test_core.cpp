@@ -525,15 +525,20 @@ TEST(EntryPathAblation, ListPathsReturnIdenticalSnapshots) {
   expect_entry_paths_agree_quiescent<BundleListSet>();
 }
 
-// Ranges of 500-2,000 keys on a dense skip list: the tower gives them the
-// walk's 8 cursors, and both cursor walks must return the one-cursor walk's
-// snapshot (range_query_from_start keeps one cursor).
+// Ranges of 500-2,000 keys on a dense skip list: once the list outgrows
+// kCursorMinNodes the tower gives them the walk's 8 cursors, and both cursor
+// walks must return the one-cursor walk's snapshot (range_query_from_start
+// keeps one cursor). Below kCursorMinNodes every range keeps one cursor.
 TEST(EntryPathAblation, SkipListPathsReturnIdenticalSnapshots) {
   expect_entry_paths_agree_quiescent<BundleSkipListSet>();
   BundleSkipListSet ds;
   Xoshiro256 rng(13);
   for (KeyT k = 1; k <= 8000; ++k)
     if (rng.next_range(4) != 0) ds.insert(0, k, k * 7);
+  constexpr KeyT kBallast = 1'000'000;
+  EXPECT_EQ(ds.cursor_count(1, 8000), 1);
+  testutil::add_cursor_ballast(ds, kBallast);
+  EXPECT_EQ(ds.cursor_count(1, 8000), BundleSkipListSet::kMaxCursors);
   std::vector<std::pair<KeyT, ValT>> one, multi, at;
   int eight = 0;
   for (int i = 0; i < 50; ++i) {
@@ -550,6 +555,11 @@ TEST(EntryPathAblation, SkipListPathsReturnIdenticalSnapshots) {
     EXPECT_EQ(at, one) << "range [" << lo << "," << hi << "]";
   }
   EXPECT_GE(eight, 40);
+  // Removing the ballast shrinks the count again.
+  for (KeyT k = kBallast; k < kBallast + 2 * BundleSkipListSet::kCursorMinNodes;
+       ++k)
+    ds.remove(0, k);
+  EXPECT_EQ(ds.cursor_count(1, 8000), 1);
 }
 
 template <typename DS>
@@ -684,11 +694,12 @@ TEST(RqEntryPolicy, SkipListDropsACursorWhoseSeekPostdatesSnapshot) {
   constexpr KeyT lo = 10, hi = 40960;
   DS ds;
   for (KeyT k = lo; k <= hi; k += 10) ds.insert(0, k, k);
+  const Items snap = ds.to_vector();
+  testutil::add_cursor_ballast(ds, 1'000'000);
   ASSERT_EQ(ds.cursor_count(lo, hi), kCursors);
   // The key just below cursor i's first key; none is a multiple of 10.
   auto below = [&](int i) { return DS::cursor_start(lo, hi, i, kCursors) - 1; };
   for (int i = 1; i < kCursors; ++i) ASSERT_FALSE(ds.contains(0, below(i)));
-  const Items snap = ds.to_vector();
   const timestamp_t held = ds.rq_tracker().begin(2, ds.global_timestamp());
   rq_entry_test::target<DS> = &ds;
   rq_entry_test::key = below(3);

@@ -270,6 +270,7 @@ TEST(CursorBoundaries, SkipListBurstsPassWingGongAudit) {
   constexpr KeyT lo = 1, hi = 2048;
   DS ds;
   for (KeyT k = lo; k <= hi; ++k) ds.insert(0, k, k);
+  testutil::add_cursor_ballast(ds, 1'000'000);  // never queried nor churned
   ASSERT_EQ(ds.cursor_count(lo, hi), DS::kMaxCursors);
   std::vector<KeyT> hot;
   for (int i = 1; i < DS::kMaxCursors; ++i) {
@@ -277,8 +278,10 @@ TEST(CursorBoundaries, SkipListBurstsPassWingGongAudit) {
     hot.push_back(first - 1);
     hot.push_back(first);
   }
+  std::vector<std::pair<KeyT, ValT>> before;
   for (int burst = 0; burst < 20; ++burst) {
-    const validation::History pre = prefix_history(ds.to_vector());
+    ds.range_query(0, lo, hi, before);
+    const validation::History pre = prefix_history(before);
     std::vector<validation::ThreadLog> logs;
     for (int t = 0; t < 3; ++t) logs.emplace_back(t);
     testutil::run_threads(3, [&](int t) {
@@ -513,8 +516,10 @@ void expect_rq_minimality_under_churn(KeyT width) {
   DS ds;
   constexpr KeyT kSpace = 2000;
   for (KeyT k = 1; k <= kSpace; k += 2) ds.insert(0, k, k);
-  // A wide range over the skip list takes the walk's 8 cursors.
+  // Ballast far above kSpace lets the skip list's walks take extra
+  // cursors; a wide range takes all 8.
   if constexpr (requires { ds.cursor_count(KeyT{}, KeyT{}); }) {
+    testutil::add_cursor_ballast(ds, 1'000'000);
     if (width >= 1000) {
       ASSERT_EQ(ds.cursor_count(1, 1 + width), 8);
     }

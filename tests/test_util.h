@@ -26,6 +26,15 @@ inline void run_threads(int n, const std::function<void(int)>& fn) {
   for (auto& t : ts) t.join();
 }
 
+/// Grow a bundled skip list past its kCursorMinNodes with keys from `from`
+/// up, which the test's ranges must not reach, so that its walks take more
+/// than one cursor.
+template <typename DS>
+void add_cursor_ballast(DS& ds, KeyT from) {
+  for (KeyT k = from; k < from + 2 * DS::kCursorMinNodes; ++k)
+    ds.insert(0, k, k);
+}
+
 /// Run `fn(session)` on `n` threads, each with a TypedSession pinned to its
 /// dense id 0..n-1 — the session-era twin of run_threads for typed suites.
 template <typename DS>
