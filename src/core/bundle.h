@@ -116,8 +116,10 @@ struct alignas(32) BundleEntry {
 };
 
 /// Result of dereferencing a bundle at a snapshot timestamp. `found` is
-/// false when no version satisfies the timestamp (the link did not exist at
-/// snapshot time — Algorithm 3 line 7 restarts the range query).
+/// false, and `ptr` null, when no version satisfies the timestamp: the node
+/// was inserted after it. Algorithm 3 line 7 restarts the range query then;
+/// here only a walk's entry can meet it, and the walk climbs its seek path
+/// to a node that has one instead (DESIGN.md §1, §4).
 template <typename NodeT>
 struct BundleDeref {
   NodeT* ptr = nullptr;

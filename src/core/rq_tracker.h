@@ -9,11 +9,10 @@
 // query that has read the clock but not yet published its value.
 //
 // The range-query protocol around the announce lives here too, once for the
-// three bundled structures: snapshot() for queries that fix their own
-// timestamp, collect_at() for range_query_at (DESIGN.md §4).
+// three bundled structures: snapshot() announces a timestamp, collects at it
+// and ends the announce (DESIGN.md §4).
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 
 #include "common/backoff.h"
@@ -76,34 +75,18 @@ class RqTracker {
   }
 
   /// Algorithm 3's protocol, once for every bundled structure: announce and
-  /// fix a snapshot timestamp, run `walk(ts)`, and restart at a newer
-  /// timestamp while the walk reports that a link it needed postdates the
-  /// snapshot (returns false). Returns the timestamp the walk succeeded at.
-  /// A reclaiming caller pins its EBR guard before calling, so the pin
-  /// precedes every clock read.
-  template <typename Walk>
-  timestamp_t snapshot(int tid, const GlobalTimestamp& gts, Walk&& walk) {
-    for (;;) {
-      const timestamp_t ts = begin(tid, gts);
-      if (walk(ts)) {
-        end(tid);
-        return ts;
-      }
-    }
-  }
-
-  /// range_query_at's retry at an externally fixed timestamp: rerun `walk()`
-  /// until it succeeds. Under the caller contract (the timestamp announced
-  /// here, and the EBR pin taken, before the clock read) a walk can only
-  /// fail on the bounded optimistic-entry race, never repeatedly: a walk
-  /// that keeps failing means the timestamp was never announced and the
-  /// cleaner pruned past it — a contract violation, not a state to spin in
-  /// silently.
-  template <typename Walk>
-  static void collect_at(Walk&& walk) {
-    for (uint64_t attempts = 0; !walk(); ++attempts)
-      assert(attempts < (1u << 20) &&
-             "range_query_at: ts not announced in rq_tracker()?");
+  /// fix a snapshot timestamp, run `collect(ts)`, end the announce. Returns
+  /// the timestamp. Nothing restarts: `collect` is the structure's
+  /// range_query_at, whose walk enters at a node with a version <= ts
+  /// (DESIGN.md §1, §4). A reclaiming caller pins its EBR guard before
+  /// calling, so the pin precedes the clock read.
+  template <typename Collect>
+  timestamp_t snapshot(int tid, const GlobalTimestamp& gts,
+                       Collect&& collect) {
+    const timestamp_t ts = begin(tid, gts);
+    collect(ts);
+    end(tid);
+    return ts;
   }
 
   /// Oldest timestamp any active or future range query can observe.
@@ -121,15 +104,6 @@ class RqTracker {
       if (v != kNone && v < oldest) oldest = v;
     }
     return oldest;
-  }
-
-  int active_count() const noexcept {
-    int n = 0;
-    for (int i = 0; i < kMaxThreads; ++i) {
-      timestamp_t v = slots_[i]->load(std::memory_order_acquire);
-      if (v != kNone) ++n;
-    }
-    return n;
   }
 
  private:

@@ -36,9 +36,11 @@ struct SyncHooks {
   /// a concurrent update's pushed pair from being cut.
   inline static std::atomic<Fn> reclaim_between_loads{nullptr};
 
-  /// Fired inside RqTracker::begin() after the query has read the global
-  /// timestamp but before it replaces its PENDING announce with that value —
-  /// the window oldest_active() must wait out.
+  /// Fired after a range query has read the clock but before it replaces
+  /// its PENDING announce with that value — the window oldest_active() must
+  /// wait out. Two call sites: RqTracker::begin(), and the
+  /// ShardedSet::Snapshot constructor between its one clock read and the
+  /// publish loop over every overlapped shard.
   inline static std::atomic<Fn> rq_mid_announce{nullptr};
 
   static void run(std::atomic<Fn>& slot) {

@@ -149,36 +149,31 @@ class BundledCitrus {
   }
 
   /// Linearizable range query over [lo, hi]; result sorted by key.
-  /// `ts_out`, when given, receives the snapshot timestamp the query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  /// Collected by range_query_at at the timestamp this call announces;
+  /// `ts_out`, when given, receives that timestamp (surfaced as
+  /// RangeSnapshot::timestamp()).
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
                      timestamp_t* ts_out = nullptr) {
     out.clear();
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now".
-      if (ts_out != nullptr) *ts_out = gts_.read();
-      return 0;
-    }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    const timestamp_t stamp = rq_.snapshot(
-        tid, gts_, [&](timestamp_t ts) { return walk(ts, lo, hi, out); });
+    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
+      range_query_at(tid, ts, lo, hi, out);
+    });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
-  /// APPENDING to `out` — the coordinated cross-shard protocol (see
-  /// bundled_list.h for the full caller contract: tracker announce AND,
-  /// when reclaiming, an EBR pin, both established before `ts` was read).
-  /// The descent is bundle-only from the root sentinel, exactly like
-  /// range_query — the root's timestamp-0 entries always satisfy an
-  /// announced ts, so the walk cannot fail to enter.
+  /// APPENDING to `out` — range_query's collection and the coordinated
+  /// cross-shard protocol (see bundled_list.h for the full caller
+  /// contract: tracker announce AND, when reclaiming, an EBR pin, both
+  /// established before `ts` was read). The descent is bundle-only from
+  /// the root sentinel, whose version always satisfies an announced ts.
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
-    if (lo > hi) return 0;
     const size_t base = out.size();
-    RqTracker::collect_at([&] { return walk(ts, lo, hi, out); });
+    walk(ts, lo, hi, out);
     return out.size() - base;
   }
 
@@ -272,45 +267,34 @@ class BundledCitrus {
   /// The bundle walk, the only code that reads the tree at a snapshot:
   /// descend via bundles at `ts` from the root sentinel to the root of the
   /// smallest subtree covering [lo, hi], collect that subtree's in-range
-  /// keys depth-first into `out`, then sort what was appended. Returns
-  /// false, with `out` as it was, when a link postdates the snapshot.
-  bool walk(timestamp_t ts, K lo, K hi,
+  /// keys depth-first into `out`, then sort what was appended. The root
+  /// sentinel is the entry rule's whole path here (DESIGN.md §1, §4). A
+  /// link past it always has a version <= ts under the announce contract;
+  /// if one did not, the walk would take it as null.
+  void walk(timestamp_t ts, K lo, K hi,
             std::vector<std::pair<K, V>>& out) const {
-    auto d = root_->bundles[0].dereference(ts);
-    if (!d.found) return false;
-    Node* m = d.ptr;
-    while (m != nullptr && (m->key < lo || m->key > hi)) {
-      const int dir = (m->key < lo) ? 1 : 0;
-      auto dn = m->bundles[dir].dereference(ts);
-      if (!dn.found) return false;
-      m = dn.ptr;
-    }
-    if (m == nullptr) return true;
+    auto child = [ts](const Node* n, int dir) {
+      const auto d = n->bundles[dir].dereference(ts);
+      assert(d.found && "a link postdates ts: not announced?");
+      return d.ptr;
+    };
+    Node* m = child(root_, 0);
+    while (m != nullptr && (m->key < lo || m->key > hi))
+      m = child(m, m->key < lo ? 1 : 0);
+    if (m == nullptr) return;
     const size_t base = out.size();
     std::vector<Node*> stack{m};
     while (!stack.empty()) {
       Node* n = stack.back();
       stack.pop_back();
       if (n->key >= lo && n->key <= hi) out.emplace_back(n->key, n->val);
-      if (n->key > lo) {  // left subtree can intersect the range
-        auto dl = n->bundles[0].dereference(ts);
-        if (!dl.found) {
-          out.resize(base);
-          return false;
-        }
-        if (dl.ptr != nullptr) stack.push_back(dl.ptr);
-      }
-      if (n->key < hi) {  // right subtree can intersect the range
-        auto dr = n->bundles[1].dereference(ts);
-        if (!dr.found) {
-          out.resize(base);
-          return false;
-        }
-        if (dr.ptr != nullptr) stack.push_back(dr.ptr);
-      }
+      // A subtree can intersect the range only on the range's side of n.
+      Node* const l = n->key > lo ? child(n, 0) : nullptr;
+      Node* const r = n->key < hi ? child(n, 1) : nullptr;
+      if (l != nullptr) stack.push_back(l);
+      if (r != nullptr) stack.push_back(r);
     }
     std::sort(out.begin() + static_cast<ptrdiff_t>(base), out.end());
-    return true;
   }
 
   void remove_simple(int tid, Node* pred, Node* curr, int dir, Node* splice) {

@@ -119,23 +119,15 @@ class BundledList {
     }
   }
 
-  /// Linearizable range query (Algorithm 3): inclusive [lo, hi]. Enters
-  /// at the optimistic seek (newest pointers) to the node preceding the
-  /// range; if that node was inserted after the snapshot, its bundle has no
-  /// entry <= ts and the query restarts at a newer timestamp.
-  /// `ts_out`, when given, receives the snapshot timestamp the query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  /// Linearizable range query (Algorithm 3): inclusive [lo, hi], collected
+  /// by range_query_at at the timestamp this call announces. `ts_out`, when
+  /// given, receives that timestamp (surfaced as RangeSnapshot::timestamp()).
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
                      timestamp_t* ts_out = nullptr) {
     out.clear();
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now".
-      if (ts_out != nullptr) *ts_out = gts_.read();
-      return 0;
-    }
     OptEbrGuard g(ebr_, tid, reclaim_);
     const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
-      return walk(traverse(lo).first, ts, lo, hi, out);
+      range_query_at(tid, ts, lo, hi, out);
     });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
@@ -150,43 +142,32 @@ class BundledList {
                                 std::vector<std::pair<K, V>>& out,
                                 timestamp_t* ts_out = nullptr) {
     out.clear();
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now".
-      if (ts_out != nullptr) *ts_out = gts_.read();
-      return 0;
-    }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
-      return walk(head_, ts, lo, hi, out);
-    });
+    const timestamp_t stamp = rq_.snapshot(
+        tid, gts_, [&](timestamp_t ts) { walk(head_, ts, lo, hi, out); });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
-  /// APPENDING to `out` — the shard layer's coordinated cross-shard range
-  /// query (src/shard/sharded_set.h; capability: coordinated_rq). Caller
-  /// preconditions, both established BEFORE `ts` was read off the shared
-  /// clock: (1) an announce of `ts` in rq_tracker() — it fences the
-  /// cleaner (any prune concurrent with it used a bound <= ts, so every
-  /// node live at ts keeps an entry satisfying ts); (2) when reclaiming,
-  /// an EBR pin on ebr() — a node removed after ts was then retired while
-  /// the caller was pinned, so the walk cannot touch freed memory (the
-  /// single-structure range_query gets both orderings by pinning and
-  /// announcing before it reads the clock). Unlike range_query there is
-  /// no newer timestamp to restart to: if the walk from the optimistic
-  /// pre-seek fails (the pred was inserted after ts), we re-enter through
-  /// the head sentinel's bundle (whose timestamp-0 entry always satisfies
-  /// an announced ts) instead.
+  /// APPENDING to `out` — range_query's collection, and the shard layer's
+  /// coordinated cross-shard range query (src/shard/sharded_set.h;
+  /// capability: coordinated_rq). Caller preconditions, both established
+  /// BEFORE `ts` was read off the shared clock: (1) an announce of `ts` in
+  /// rq_tracker() — it fences the cleaner (any prune concurrent with it
+  /// used a bound <= ts, so every node live at ts keeps an entry satisfying
+  /// ts); (2) when reclaiming, an EBR pin on ebr() — a node removed after
+  /// ts was then retired while the caller was pinned, so the walk cannot
+  /// touch freed memory. The seek runs after the clock read, so the node it
+  /// reaches before lo postdates ts only if it was inserted since; if it
+  /// does, the walk enters at the head sentinel, whose version always
+  /// satisfies an announced ts. Nothing restarts or retries (DESIGN.md
+  /// §4); inverted bounds collect nothing.
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
-    if (lo > hi) return 0;
     const size_t base = out.size();
-    RqTracker::collect_at([&] {
-      return walk(traverse(lo).first, ts, lo, hi, out) ||
-             walk(head_, ts, lo, hi, out);
-    });
+    walk(traverse(lo).first, ts, lo, hi, out);
     return out.size() - base;
   }
 
@@ -259,23 +240,23 @@ class BundledList {
   }
 
   /// The bundle walk (Algorithm 3, phases 2-3), the only code that reads
-  /// the list at a snapshot: from `from`, the head sentinel or a node
-  /// preceding the range, hop bundles at `ts` past every key below `lo`,
-  /// then append every node up to `hi` to `out`. `from` itself is never
-  /// appended. Returns false, with `out` as it was, when a hop finds no
-  /// entry <= ts: that link postdates the snapshot.
-  bool walk(Node* from, timestamp_t ts, K lo, K hi,
+  /// the list at a snapshot. It enters at `from`, the head sentinel or the
+  /// node a seek reached before lo, when its bundle has a version <= ts,
+  /// and at the head sentinel otherwise: the entry rule (DESIGN.md §4).
+  /// From there it hops bundles at `ts` past every key below `lo` and
+  /// appends every node up to `hi` to `out`; the entry node itself is never
+  /// appended. A hop past the entry always finds a version <= ts under the
+  /// announce contract; if one did not, the walk would stop there.
+  void walk(Node* from, timestamp_t ts, K lo, K hi,
             std::vector<std::pair<K, V>>& out) const {
-    const size_t base = out.size();
-    for (Node* curr = from;;) {
-      auto d = curr->bundle.dereference(ts);
-      if (!d.found) {
-        out.resize(base);
-        return false;
-      }
-      curr = d.ptr;
-      if (curr == tail_ || curr->key > hi) return true;
+    auto d = from->bundle.dereference(ts);
+    if (!d.found) d = head_->bundle.dereference(ts);
+    for (;;) {
+      assert(d.found && "a link past the entry postdates ts: not announced?");
+      Node* const curr = d.ptr;
+      if (!d.found || curr == tail_ || curr->key > hi) return;
       if (curr->key >= lo) out.emplace_back(curr->key, curr->val);
+      d = curr->bundle.dereference(ts);
     }
   }
 

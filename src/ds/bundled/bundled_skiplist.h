@@ -258,26 +258,15 @@ class BundledSkipList {
     }
   }
 
-  /// Linearizable range query: index layers route to the data-layer node
-  /// preceding the range; from there the walk uses bundles only, with as
-  /// many cursors as the seek's tower suggests (plan()). If that node
-  /// postdates the snapshot, the query restarts at a newer timestamp.
-  /// `ts_out`, when given, receives the snapshot timestamp the query
-  /// linearized at (surfaced as RangeSnapshot::timestamp()).
+  /// Linearizable range query: inclusive [lo, hi], collected by
+  /// range_query_at at the timestamp this call announces. `ts_out`, when
+  /// given, receives that timestamp (surfaced as RangeSnapshot::timestamp()).
   size_t range_query(int tid, K lo, K hi, std::vector<std::pair<K, V>>& out,
                      timestamp_t* ts_out = nullptr) {
     out.clear();
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now".
-      if (ts_out != nullptr) *ts_out = gts_.read();
-      return 0;
-    }
     OptEbrGuard g(ebr_, tid, reclaim_);
-    Node* preds[kMaxHeight];
-    Node* succs[kMaxHeight];
     const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
-      find(lo, preds, succs);
-      return walk(plan(preds, succs, lo, hi), ts, lo, hi, out);
+      range_query_at(tid, ts, lo, hi, out);
     });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
@@ -292,42 +281,30 @@ class BundledSkipList {
                                 std::vector<std::pair<K, V>>& out,
                                 timestamp_t* ts_out = nullptr) {
     out.clear();
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now".
-      if (ts_out != nullptr) *ts_out = gts_.read();
-      return 0;
-    }
     OptEbrGuard g(ebr_, tid, reclaim_);
     const timestamp_t stamp = rq_.snapshot(tid, gts_, [&](timestamp_t ts) {
-      return walk({head_, head_, 0, 1}, ts, lo, hi, out);
+      walk({nullptr, head_, 0, 1}, ts, lo, hi, out);
     });
     if (ts_out != nullptr) *ts_out = stamp;
     return out.size();
   }
 
   /// Collect [lo, hi] at the externally fixed snapshot timestamp `ts`,
-  /// APPENDING to `out` — the coordinated cross-shard protocol (see
-  /// bundled_list.h for the full caller contract: tracker announce AND,
-  /// when reclaiming, an EBR pin, both established before `ts` was read).
-  /// Index layers route to the data-layer node preceding the range as
-  /// usual; if the walk from that node fails (it postdates ts), re-enter
-  /// through the head sentinel's bundle rather than restarting at a newer
-  /// timestamp (there is none to take). Either way the later cursors enter
-  /// at their own seeks from the seek for lo.
+  /// APPENDING to `out` — range_query's collection and the coordinated
+  /// cross-shard protocol (see bundled_list.h for the full caller
+  /// contract: tracker announce AND, when reclaiming, an EBR pin, both
+  /// established before `ts` was read). Index layers route to the range;
+  /// cursor 0 enters at the first node of that seek, from the data layer
+  /// up, with a version <= ts (the head sentinel at the latest), and the
+  /// later cursors seek on from it (walk(), DESIGN.md §4).
   size_t range_query_at(int tid, timestamp_t ts, K lo, K hi,
                         std::vector<std::pair<K, V>>& out) {
     (void)tid;
-    if (lo > hi) return 0;
     Node* preds[kMaxHeight];
     Node* succs[kMaxHeight];
     const size_t base = out.size();
-    RqTracker::collect_at([&] {
-      find(lo, preds, succs);  // preds[0]: data-layer node with key < lo
-      Plan p = plan(preds, succs, lo, hi);
-      if (walk(p, ts, lo, hi, out)) return true;
-      p.from = head_;
-      return walk(p, ts, lo, hi, out);
-    });
+    find(lo, preds, succs);  // preds[0]: data-layer node with key < lo
+    walk(plan(preds, succs, lo, hi), ts, lo, hi, out);
     return out.size() - base;
   }
 
@@ -439,10 +416,10 @@ class BundledSkipList {
 
   /// Where a walk starts and how many cursors it advances (walk()).
   struct Plan {
-    Node* from;    // cursor 0's entry: the seek's preds[0] or the head sentinel
-    Node* finger;  // the seek's preds[top]: later cursors seek on from it
-    int top;       // the finger's level
-    int n;         // cursors, 1 to kMaxCursors
+    Node* const* seek;  // the seek for lo's preds, or null: the head alone
+    Node* finger;       // the seek's preds[top]: later cursors seek on from it
+    int top;            // the finger's level
+    int n;              // cursors, 1 to kMaxCursors
   };
 
   /// The plan for [lo, hi] from the seek for lo. `top` is the highest level
@@ -462,11 +439,11 @@ class BundledSkipList {
       ++top;
     if (top < 5 || tall_->load(std::memory_order_relaxed) <
                        (kCursorMinNodes >> kTallLevel))
-      return {preds[0], preds[top], top, 1};
+      return {preds, preds[top], top, 1};
     using U = std::make_unsigned_t<K>;
     const U width = static_cast<U>(hi) - static_cast<U>(lo);
     const U by_tower = std::min<U>(U{1} << (top - 4), kMaxCursors);
-    return {preds[0], preds[top], top,
+    return {preds, preds[top], top,
             static_cast<int>(std::min<U>(by_tower, width / 16 + 1))};
   }
 
@@ -482,23 +459,22 @@ class BundledSkipList {
 
   /// The snapshot walk (Algorithm 3, phases 2-3), the only code that reads
   /// the data layer at a snapshot. `p.n` cursors split [lo, hi] by key
-  /// width (cursor_start()). Cursor 0 enters at `p.from`, the head sentinel
-  /// or the node preceding the range; cursor i > 0 seeks its first key on
-  /// from the seek for lo (find() from `p.finger` on level `p.top`) and
-  /// enters at the data-layer node preceding it. Every entry dereferences
-  /// its node's bundle at `ts`, so an entry node is never appended. The
-  /// cursors then advance round-robin, one hop each: a hop skips keys below
-  /// the cursor's sub-range, appends the rest of it and prefetches the node
-  /// its dereference returned, so up to n misses are in flight at once
-  /// (DESIGN.md §11). A later cursor whose entry postdates the snapshot is
-  /// dropped, and the cursor before it runs on through its sub-range.
-  /// Cursor 0 appends to `out`; the others stage in per-thread buffers
-  /// (stage()) that `out` takes in order at the end. Returns false, with
-  /// `out` as it was, when cursor 0's entry or any later hop finds no
-  /// version <= ts: that link postdates the snapshot. A hop whose snapshot
-  /// takes the newest version reads only the node's first 32 bytes
-  /// (DESIGN.md §11).
-  bool walk(const Plan& p, timestamp_t ts, K lo, K hi, Items& out) const {
+  /// width (cursor_start()). Cursor 0 enters by the entry rule (climb());
+  /// cursor i > 0 seeks its first key on from the seek for lo (find() from
+  /// `p.finger` on level `p.top`) and enters at the data-layer node
+  /// preceding it, or is dropped when that node postdates the snapshot:
+  /// the cursor before it then runs on through its sub-range. Every entry
+  /// dereferences its node's bundle at `ts`, so an entry node is never
+  /// appended. The cursors then advance round-robin, one hop each: a hop
+  /// skips keys below the cursor's sub-range, appends the rest of it and
+  /// prefetches the node its dereference returned, so up to n misses are
+  /// in flight at once (DESIGN.md §11). A hop past an entry always finds a
+  /// version <= ts under the announce contract; if one did not, its cursor
+  /// would stop there. Cursor 0 appends to `out`; the others stage in
+  /// per-thread buffers (stage()) that `out` takes in order at the end. A
+  /// hop whose snapshot takes the newest version reads only the node's
+  /// first 32 bytes (DESIGN.md §11).
+  void walk(const Plan& p, timestamp_t ts, K lo, K hi, Items& out) const {
     struct Cursor {
       Node* at;  // next node to visit (prefetched); null once done
       K first;   // the cursor collects [first, last]
@@ -506,50 +482,38 @@ class BundledSkipList {
       Items* dest;
     };
     Cursor cur[kMaxCursors];
+    cur[0] = {climb(p.seek, ts), lo, hi, &out};
+    __builtin_prefetch(cur[0].at);
     Items* const staged = p.n > 1 ? stage() : nullptr;
-    int used = 0;
-    for (int i = 0; i < p.n; ++i) {
-      const K first = i == 0 ? lo : cursor_start(lo, hi, i, p.n);
-      Node* entry = p.from;
-      if (i > 0) {
-        Node* preds[kMaxHeight];
-        Node* succs[kMaxHeight];
-        find(first, preds, succs, p.finger, p.top);
-        entry = preds[0];
-      }
-      const auto d = entry->bundle.dereference(ts);
-      if (!d.found) {
-        if (i == 0) return false;
-        continue;  // dropped: the cursor before runs on
-      }
+    int used = 1;
+    for (int i = 1; i < p.n; ++i) {
+      const K first = cursor_start(lo, hi, i, p.n);
+      Node* preds[kMaxHeight];
+      Node* succs[kMaxHeight];
+      find(first, preds, succs, p.finger, p.top);
+      const auto d = preds[0]->bundle.dereference(ts);
+      if (!d.found) continue;  // dropped: the cursor before runs on
       __builtin_prefetch(d.ptr);
-      if (used > 0) {
-        cur[used - 1].last = first - 1;
-        staged[used - 1].clear();
-      }
-      cur[used] = {d.ptr, first, hi, used == 0 ? &out : &staged[used - 1]};
+      cur[used - 1].last = first - 1;
+      staged[used - 1].clear();
+      cur[used] = {d.ptr, first, hi, &staged[used - 1]};
       ++used;
     }
-    const size_t base = out.size();
-    bool failed = false;
-    // One hop of `c`; false once the cursor is done or its hop failed.
+    // One hop of `c`; false once the cursor is done.
     auto hop = [&](Cursor& c) {
       Node* const x = c.at;
       if (x == tail_ || x->key > c.last) return false;
       if (x->key >= c.first) c.dest->emplace_back(x->key, x->val);
       const auto d = x->bundle.dereference(ts);
-      if (!d.found) {
-        failed = true;
-        return false;
-      }
+      assert(d.found && "a link past the entry postdates ts: not announced?");
       __builtin_prefetch(d.ptr);
       c.at = d.ptr;
-      return true;
+      return d.found;
     };
     // Cursor 0 advances from a local, so a one-cursor walk's chain of hops
     // stays in registers; the later cursors advance in the array.
     Cursor c0 = cur[0];
-    for (int live = used; live > 0 && !failed;) {
+    for (int live = used; live > 0;) {
       if (c0.at != nullptr && !hop(c0)) {
         c0.at = nullptr;
         --live;
@@ -561,15 +525,25 @@ class BundledSkipList {
         }
       }
     }
-    if (failed) {
-      out.resize(base);
-      return false;
-    }
     for (int i = 0; i + 1 < used; ++i) {
       out.insert(out.end(), staged[i].begin(), staged[i].end());
       if (staged[i].capacity() > kStageKeep) staged[i] = Items();
     }
-    return true;
+  }
+
+  /// Cursor 0's first node, by the entry rule (DESIGN.md §4): the
+  /// successor at `ts` of the first node of the seek for lo, from the data
+  /// layer up, whose bundle has a version <= ts. The seek ran after the
+  /// clock read, so a node on it postdates ts only if it was inserted
+  /// since. The head sentinel ends the path (with no seek it is the whole
+  /// path), and its version always satisfies an announced ts; if it did
+  /// not, the cursor would visit nothing.
+  Node* climb(Node* const* seek, timestamp_t ts) const {
+    for (int l = 0; seek != nullptr && l < kMaxHeight; ++l)
+      if (const auto d = seek[l]->bundle.dereference(ts); d.found) return d.ptr;
+    const auto d = head_->bundle.dereference(ts);
+    assert(d.found && "the head sentinel postdates ts: not announced?");
+    return d.found ? d.ptr : tail_;
   }
 
   int find(K key, Node** preds, Node** succs) const {

@@ -8,9 +8,9 @@
 //     the snapshot ONCE (a ShardedSet::Snapshot pins + announces every
 //     overlapping shard, reads the shared clock once, publishes) and then
 //     collects the interval in bounded key-budget slices, one slice per
-//     wave, behind the wave's point ops. `range_query_at` is restart-free
-//     against a held announce+pin, so slicing never re-reads the clock:
-//     the reply is still one linearization point (DESIGN.md §8).
+//     wave, behind the wave's point ops. `range_query_at` has no restart
+//     path, so slicing never re-reads the clock: the reply is still one
+//     linearization point (DESIGN.md §8).
 //
 //   * Admission control. Each wave gets a frame + response-byte budget
 //     (WaveBudget); frames past it are answered kErrOverloaded with a

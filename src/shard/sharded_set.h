@@ -67,6 +67,7 @@
 #include "common/thread_registry.h"
 #include "core/global_timestamp.h"
 #include "core/rq_tracker.h"
+#include "core/sync_hooks.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -197,34 +198,25 @@ class ShardedSet final : public AnyOrderedSet {
 
   // -- range queries ------------------------------------------------------
   /// A coordinated multi-shard result is stamped with the single shared
-  /// timestamp it linearized at; a single-shard query delegates (stamp
-  /// included only when this set advertises rq_timestamp); a fallback
-  /// merge is never stamped. A one-shard set never merges, so every query
-  /// — the lo > hi case and the inner set's own stamp included — is its
-  /// only shard's answer.
+  /// timestamp it linearized at; a query inside one shard delegates to it
+  /// (stamp included only when this set advertises rq_timestamp), and so
+  /// does one with lo > hi, which that shard's walk answers empty; a
+  /// fallback merge is never stamped. A one-shard set never merges, so
+  /// every query, stamp included, is its only shard's answer.
   size_t range_query(int tid, KeyT lo, KeyT hi, RangeSnapshot& out) override {
-    if (nshards_ == 1) {
-      bump(stats_[tid]->single_shard_rqs);
-      return shards_[0]->range_query(tid, lo, hi, out);
-    }
-    out.reset(lo, hi);
-    if (lo > hi) {
-      // Trivially empty: linearizes anywhere, so stamp "now" off the
-      // shared clock when we have one.
-      if (coordinated_) out.set_timestamp(gts_.read());
-      return 0;
-    }
     const size_t a = shard_index(lo);
     const size_t b = shard_index(hi);
-    if (a == b) {
+    if (b <= a) {
       bump(stats_[tid]->single_shard_rqs);
       const size_t n = shards_[a]->range_query(tid, lo, hi, out);
       // A non-coordinated family stamps from its per-shard clock; those
       // values are not comparable across shards, so honor the advertised
-      // capability and strip them.
-      if (!coordinated_) out.set_timestamp(RangeSnapshot::kNoTimestamp);
+      // capability and strip them. One shard has none to compare with.
+      if (!coordinated_ && nshards_ > 1)
+        out.set_timestamp(RangeSnapshot::kNoTimestamp);
       return n;
     }
+    out.reset(lo, hi);
     if (coordinated_) {
       out.set_timestamp(coordinated_collect(tid, a, b, lo, hi, out.buffer()));
     } else {
@@ -345,11 +337,11 @@ class ShardedSet final : public AnyOrderedSet {
   /// The pin is established when confirm returns — before the clock read
   /// — and no shared pointer is read between prepare and confirm.
   ///
-  /// range_query_at is restart-free against the held announce + pin, so
-  /// slicing the walk never re-reads the clock: the concatenated slices
-  /// are the set's state at timestamp(), one linearization point. A
-  /// shard's announce and pin are released as soon as the walk has passed
-  /// it; the destructor releases whatever an abandoned snapshot holds.
+  /// range_query_at has no restart path (DESIGN.md §4), so slicing the
+  /// walk never re-reads the clock: the concatenated slices are the set's
+  /// state at timestamp(), one linearization point. A shard's announce and
+  /// pin are released as soon as the walk has passed it; the destructor
+  /// releases whatever an abandoned snapshot holds.
   ///
   /// The pins are EBR pins on `tid`, and Ebr::pin/unpin is not reentrant
   /// per tid: the owner must run no other operation on this set under
@@ -377,6 +369,7 @@ class ShardedSet final : public AnyOrderedSet {
       for (size_t i = next_; i <= last_; ++i)
         set.shards_[i]->rq_pin_confirm(tid);
       ts_ = set.gts_.read();  // the ONE timestamp acquisition
+      SyncHooks::run(SyncHooks::rq_mid_announce);
       for (size_t i = next_; i <= last_; ++i)
         set.trackers_[i]->publish(tid, ts_);
       if (tr != nullptr)
@@ -492,7 +485,7 @@ class ShardedSet final : public AnyOrderedSet {
   ///
   /// Elision: only shards in [a, b] — the span [lo, hi] provably overlaps
   /// under the contiguous partition (shard_index is monotone) — pay any
-  /// coordination; shards outside it are never touched, and a == b never
+  /// coordination; shards outside it are never touched, and b <= a never
   /// reaches here (range_query devolves single-shard queries to the
   /// unsharded fast path: zero pins, zero announces, zero shared-clock
   /// reads). coordinated_shards_pinned makes the invariant observable.

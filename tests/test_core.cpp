@@ -114,7 +114,7 @@ TEST(Bundle, DereferenceNotFoundBeforeFirstEntry) {
   auto e = b.prepare(0, &n);
   Bundle<FakeNode>::finalize(e, 3);
   auto d = b.dereference(2);
-  EXPECT_FALSE(d.found);  // link did not exist at ts=2 -> RQ must restart
+  EXPECT_FALSE(d.found);  // link did not exist at ts=2
 }
 
 TEST(Bundle, EntriesSortedNewestFirst) {
@@ -406,9 +406,10 @@ TEST(RqTracker, BeginPublishesSnapshot) {
   gts.advance();
   gts.advance();
   EXPECT_EQ(rq.begin(0, gts), 2u);
-  EXPECT_EQ(rq.active_count(), 1);
+  gts.advance();  // clock = 3: only the published 2 can bound below it
+  EXPECT_EQ(rq.oldest_active(gts), 2u);
   rq.end(0);
-  EXPECT_EQ(rq.active_count(), 0);
+  EXPECT_EQ(rq.oldest_active(gts), 3u);
 }
 
 TEST(RqTracker, OldestActiveIsMinOfAnnouncedAndClock) {
@@ -602,24 +603,27 @@ TEST(EntryPathAblation, SkipListFromStartConsistentUnderChurn) {
   expect_from_start_consistent_under_churn<BundleSkipListSet>();
 }
 
-// ---------- range-query entry policies ----------
-// Every bundled range query seeks optimistically to the node before the
-// range, then walks bundles at its snapshot timestamp. When that node is
-// newer than the snapshot, range_query restarts at a newer timestamp, while
-// range_query_at, whose timestamp is fixed, re-enters through the head
-// sentinel. Both fallbacks fire only when an update lands between the clock
-// read and the seek, so these tests force one.
+// ---------- range-query entry rule ----------
+// Every bundled walk enters at the first node of its own seek path, from
+// the data layer up, whose bundle has a version <= the query's timestamp;
+// the path ends at the head sentinel (Citrus: the root), whose version
+// always qualifies. The seek runs after the clock read, so only a node
+// inserted since can fail that test, and nothing restarts: these tests
+// insert one just below lo right after the clock read, and remove an
+// in-range key the snapshot still holds.
 
 namespace rq_entry_test {
 template <typename DS>
 DS* target = nullptr;
 
-// One-shot rq_mid_announce hook: insert 15 right after the query has read
-// the clock, so the seek for lo = 16 lands on a node newer than its ts.
+// One-shot rq_mid_announce hook, fired right after the query has read the
+// clock: insert 15, so the seek for lo = 16 lands on a node newer than the
+// snapshot, and remove 20, which the snapshot still holds.
 template <typename DS>
-void insert_15_once() {
+void insert_15_remove_20_once() {
   SyncHooks::rq_mid_announce.store(nullptr, std::memory_order_relaxed);
   target<DS>->insert(0, 15, 15);
+  target<DS>->remove(0, 20);
 }
 
 // The same hook for any key: `key` right after the clock read.
@@ -632,56 +636,72 @@ void insert_key_once() {
 
 using Items = std::vector<std::pair<KeyT, ValT>>;
 
+// Each entry point, over [16, 30] (the seek lands on 15), [11, 30] (on 10,
+// live at the snapshot) and the inverted [30, 16], on a structure holding
+// 10, 20 and 30 when its timestamp is fixed, while 15 is inserted and 20
+// removed right after: it returns the snapshot at that timestamp, and the
+// entry points that fix their own stamp it with the clock value they read
+// first.
 template <typename DS>
-void expect_range_query_at_entries() {
-  DS ds;
-  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
-  const timestamp_t ts = ds.rq_tracker().begin(1, ds.global_timestamp());
-  ds.insert(0, 15, 15);
-  ds.remove(0, 20);
-  Items out;
-  // The seek lands on 15, inserted after ts: head re-entry.
-  EXPECT_EQ(ds.range_query_at(1, ts, 16, 30, out), 2u);
-  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
-  out.clear();
-  // The seek lands on 10, live at ts: entry at the seek.
-  EXPECT_EQ(ds.range_query_at(1, ts, 11, 30, out), 2u);
-  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
-  ds.rq_tracker().end(1);
+void expect_one_entry_rule() {
+  struct Input {
+    KeyT lo, hi;
+    Items expect;
+  };
+  const Items snap{{20, 20}, {30, 30}};
+  const Input inputs[] = {{16, 30, snap}, {11, 30, snap}, {30, 16, {}}};
+  auto own_timestamp = [&](auto query) {
+    for (const Input& in : inputs) {
+      DS ds;
+      for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+      rq_entry_test::target<DS> = &ds;
+      const timestamp_t before = ds.global_timestamp().read();
+      SyncHooks::rq_mid_announce.store(
+          &rq_entry_test::insert_15_remove_20_once<DS>,
+          std::memory_order_relaxed);
+      Items out;
+      timestamp_t ts = 0;
+      query(ds, in.lo, in.hi, out, &ts);
+      SyncHooks::reset();
+      EXPECT_EQ(out, in.expect) << "[" << in.lo << ", " << in.hi << "]";
+      EXPECT_EQ(ts, before);  // the first clock read: no restart
+      EXPECT_TRUE(ds.contains(0, 15));
+      EXPECT_FALSE(ds.contains(0, 20));
+    }
+  };
+  own_timestamp([](DS& ds, KeyT lo, KeyT hi, Items& out, timestamp_t* ts) {
+    ds.range_query(1, lo, hi, out, ts);
+  });
+  if constexpr (requires(DS& ds, Items& out) {
+                  ds.range_query_from_start(1, 0, 0, out);
+                })
+    own_timestamp([](DS& ds, KeyT lo, KeyT hi, Items& out, timestamp_t* ts) {
+      ds.range_query_from_start(1, lo, hi, out, ts);
+    });
+  // range_query_at at a timestamp held across the same updates.
+  for (const Input& in : inputs) {
+    DS ds;
+    for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+    const timestamp_t held = ds.rq_tracker().begin(2, ds.global_timestamp());
+    ds.insert(0, 15, 15);
+    ds.remove(0, 20);
+    Items at;
+    EXPECT_EQ(ds.range_query_at(2, held, in.lo, in.hi, at), in.expect.size());
+    EXPECT_EQ(at, in.expect) << "[" << in.lo << ", " << in.hi << "]";
+    ds.rq_tracker().end(2);
+  }
 }
 
-TEST(RqEntryPolicy, ListRangeQueryAtFallsBackToHead) {
-  expect_range_query_at_entries<BundleListSet>();
+TEST(RqEntryPolicy, ListKeepsFirstTimestampWhenSeekPostdatesSnapshot) {
+  expect_one_entry_rule<BundleListSet>();
 }
 
-TEST(RqEntryPolicy, SkipListRangeQueryAtFallsBackToHead) {
-  expect_range_query_at_entries<BundleSkipListSet>();
+TEST(RqEntryPolicy, SkipListKeepsFirstTimestampWhenSeekPostdatesSnapshot) {
+  expect_one_entry_rule<BundleSkipListSet>();
 }
 
-template <typename DS>
-void expect_range_query_restarts() {
-  DS ds;
-  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
-  rq_entry_test::target<DS> = &ds;
-  const timestamp_t before = ds.global_timestamp().read();
-  SyncHooks::rq_mid_announce.store(&rq_entry_test::insert_15_once<DS>,
-                                   std::memory_order_relaxed);
-  Items out;
-  timestamp_t ts = 0;
-  ds.range_query(1, 16, 30, out, &ts);
-  SyncHooks::reset();
-  EXPECT_EQ(out, (Items{{20, 20}, {30, 30}}));
-  // The first attempt ran at `before`; only a restart reads a newer clock.
-  EXPECT_GT(ts, before);
-  EXPECT_TRUE(ds.contains(0, 15));
-}
-
-TEST(RqEntryPolicy, ListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
-  expect_range_query_restarts<BundleListSet>();
-}
-
-TEST(RqEntryPolicy, SkipListRangeQueryRestartsWhenSeekPostdatesSnapshot) {
-  expect_range_query_restarts<BundleSkipListSet>();
+TEST(RqEntryPolicy, CitrusKeepsFirstTimestampWhenSeekPostdatesSnapshot) {
+  expect_one_entry_rule<BundleCitrusSet>();
 }
 
 // A later cursor's seek that lands on a node newer than the snapshot drops

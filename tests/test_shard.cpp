@@ -33,6 +33,7 @@
 
 #include "api/set.h"
 #include "core/entry_pool.h"
+#include "core/sync_hooks.h"
 #include "ds/bundled/bundled_skiplist.h"
 #include "shard/maintenance.h"
 #include "test_util.h"
@@ -530,22 +531,108 @@ TEST(Snapshot, SlicedSnapshotsCountOneClockReadAndNoPins) {
 TEST(Snapshot, ReleasesShardsAsTheWalkPassesAndTheRestWhenDropped) {
   // [0, 100] over 4 shards: width 25, so [30, 90] overlaps shards 1..3.
   ShardedSet s("Bundle-skiplist", small_range(4, 0, 100));
+  // Nothing is inserted, so the shared clock and every snapshot stay at 0;
+  // a tracker bounds a clock at 1 below it only while a query is announced.
+  GlobalTimestamp ahead;
+  ahead.advance();
   auto announced = [&](size_t i) {
-    return s.shard(i).rq_tracker_hook()->active_count();
+    return s.shard(i).rq_tracker_hook()->oldest_active(ahead) < ahead.read();
   };
   Items out;
   {
     ShardedSet::Snapshot snap(s, 1, 30, 90);
-    EXPECT_EQ(announced(0), 0);
-    EXPECT_EQ(announced(1), 1);
-    EXPECT_EQ(announced(2), 1);
-    EXPECT_EQ(announced(3), 1);
+    EXPECT_FALSE(announced(0));
+    EXPECT_TRUE(announced(1));
+    EXPECT_TRUE(announced(2));
+    EXPECT_TRUE(announced(3));
     EXPECT_FALSE(snap.collect(25, out));  // [30, 54]: walks past shard 1
-    EXPECT_EQ(announced(1), 0);
-    EXPECT_EQ(announced(2), 1);
-    EXPECT_EQ(announced(3), 1);
+    EXPECT_FALSE(announced(1));
+    EXPECT_TRUE(announced(2));
+    EXPECT_TRUE(announced(3));
   }  // abandoned mid-walk
-  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(announced(i), 0) << "shard " << i;
+  for (size_t i = 0; i < 4; ++i) EXPECT_FALSE(announced(i)) << "shard " << i;
+}
+
+namespace snapshot_window {
+std::atomic<bool> entered{false};
+std::atomic<bool> release{false};
+
+// rq_mid_announce hook: park the Snapshot between its one clock read and
+// its publish loop, every overlapped shard still announced PENDING.
+void park() {
+  entered.store(true, std::memory_order_release);
+  while (!release.load(std::memory_order_acquire)) cpu_relax();
+}
+}  // namespace snapshot_window
+
+TEST(Snapshot, CleanerWaitsOutTheBatchedPendingAnnounce) {
+  // [0, 100] over 4 shards: [30, 90] overlaps shards 1..3.
+  ShardedSet s("Bundle-skiplist", small_range(4, 0, 100));
+  ThreadSession sess(s, 0);
+  for (KeyT k = 1; k <= 99; ++k) sess.insert(k, k);
+  snapshot_window::entered = false;
+  snapshot_window::release = false;
+  SyncHooks::rq_mid_announce.store(&snapshot_window::park,
+                                   std::memory_order_relaxed);
+  std::atomic<timestamp_t> taken{RqTracker::kNone};
+  std::atomic<bool> checked{false};
+  std::thread query([&] {
+    ShardedSet::Snapshot snap(s, 1, 30, 90);
+    taken.store(snap.timestamp(), std::memory_order_release);
+    // Stay announced until the cleaner has read its bound.
+    while (!checked.load(std::memory_order_acquire)) cpu_relax();
+  });
+  while (!snapshot_window::entered.load(std::memory_order_acquire))
+    cpu_relax();
+  SyncHooks::reset();  // only the parked Snapshot should stall
+  // Updates on shard 0, which the Snapshot does not overlap, move the
+  // shared clock past its timestamp; a cleaner reading a clock ahead of
+  // both must still bound at the Snapshot's timestamp.
+  for (KeyT k = 1; k <= 20; ++k) sess.remove(k);
+  GlobalTimestamp ahead;
+  for (int i = 0; i < 1000; ++i) ahead.advance();
+  std::atomic<timestamp_t> observed{RqTracker::kNone};
+  std::thread cleaner([&] {
+    observed.store(s.shard(2).rq_tracker_hook()->oldest_active(ahead),
+                   std::memory_order_release);
+  });
+  // The cleaner must be stuck waiting out shard 2's PENDING slot.
+  // (Timing-based, but one-sided: a slow cleaner can only make this check
+  // vacuous, never fail it.)
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(observed.load(), RqTracker::kNone);
+  snapshot_window::release = true;
+  cleaner.join();
+  checked = true;
+  query.join();
+  EXPECT_EQ(taken.load(), 99u);  // 99 inserts, then the clock read
+  EXPECT_LE(observed.load(), taken.load());
+}
+
+// A Snapshot's slices concatenate to the set's state at timestamp() even
+// when every slice's seek lands on a key inserted after that timestamp,
+// and keys removed since are still returned.
+TEST(Snapshot, SlicesEnterBelowKeysInsertedAfterTheSnapshot) {
+  for (const char* inner :
+       {"Bundle-list", "Bundle-skiplist", "Bundle-citrus"}) {
+    // [32, 99] over 4 shards of width 25, in slices of 16 keys: the walks
+    // start at 32, 48, 50, 64, 75, 80 and 96. Even keys are present.
+    ShardedSet s(inner, small_range(4, 0, 100));
+    ThreadSession sess(s, 0);
+    for (KeyT k = 0; k <= 100; k += 2) sess.insert(k, k);
+    Items expect;
+    for (KeyT k = 32; k <= 98; k += 2) expect.emplace_back(k, k);
+    ShardedSet::Snapshot snap(s, 1, 32, 99);
+    // The key just below each walk's first key inside its shard (50 and 75
+    // start shards), and five in-range removals.
+    for (KeyT k : {31, 47, 63, 79, 95}) ASSERT_TRUE(sess.insert(k, k));
+    for (KeyT k : {40, 58, 76, 90, 98}) ASSERT_TRUE(sess.remove(k));
+    Items out;
+    size_t slices = 1;
+    while (!snap.collect(16, out)) ++slices;
+    EXPECT_EQ(slices, 5u) << inner;
+    EXPECT_EQ(out, expect) << inner;
+  }
 }
 
 // ---------------------------------------------------------------------------
