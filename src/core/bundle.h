@@ -15,10 +15,12 @@
 // query that needs the newest version — almost every one — reads the node
 // and no entry, and a link that has one version holds no entry at all.
 // Chains are only ever (a) prepended to at the root by updates and (b) cut,
-// whole or below a kept entry, by the cleaner (reclaim_older). Readers may
-// walk a cut tail; reclamation is therefore routed through EBR, and entries
-// come from per-thread pools (core/entry_pool.h) so the steady-state update
-// path never touches the allocator.
+// whole or below a kept entry, by reclaim_older: each update cuts the
+// bundles it extended right after it finalizes them, and a sweep cuts only
+// what those cuts had to keep (BundlePruner). Readers may walk a cut tail;
+// reclamation is therefore routed through EBR, and entries come from
+// per-thread pools (core/entry_pool.h) so the steady-state update path never
+// touches the allocator.
 //
 // Memory-order audit (DESIGN.md §2 has the table form):
 //   * An update owns the link from its claim (CAS of a finalized stamp to
@@ -38,16 +40,20 @@
 //     chain root: that load happens-after the push of every version the
 //     stamp superseded, and every push is a release RMW, so the relaxed
 //     hops below the root read fully written entries.
-//   * The cleaner acquire-loads the root before the stamp and cuts the
-//     whole chain only by CAS-ing that root to null. A root holding the
-//     push of an update would carry its claim with it, so an update whose
-//     claim the stamp load missed pushes after the root load: the CAS
-//     either cuts first (the push lands on an empty chain) or fails, and
-//     the pair a snapshot between the two stamps needs survives.
-//   * The only seq_cst in the protocol lives in GlobalTimestamp — an
+//   * A cut loads the root before the stamp and cuts the whole chain only
+//     by CAS-ing that root to null. A root holding the push of an update
+//     would carry its claim with it, so an update whose claim the stamp
+//     load missed pushes after the root load: the CAS either cuts first
+//     (the push lands on an empty chain) or fails, and the pair a snapshot
+//     between the two stamps needs survives.
+//   * Cuts may race each other (an update's and a sweep's). Each retired
+//     entry is taken by the one exchange that nulls the link holding it, so
+//     no entry is retired twice.
+//   * The protocol's one seq_cst ordering lives in GlobalTimestamp — an
 //     update claims the link before the clock ticks, so a range query that
 //     reads clock value T happens-after the claim of every update stamped
-//     <= T and sees PENDING or its final stamp.
+//     <= T and sees PENDING or its final stamp. (The push CAS and a cut's
+//     root load are seq_cst too, but only for BundlePruner's residue mark.)
 
 #include <atomic>
 #include <cassert>
@@ -57,8 +63,10 @@
 #include <vector>
 
 #include "common/backoff.h"
+#include "common/cacheline.h"
 #include "core/entry_pool.h"
 #include "core/global_timestamp.h"
+#include "core/rq_tracker.h"
 #include "core/sync_hooks.h"
 #include "epoch/ebr.h"
 #include "obs/metrics.h"
@@ -85,7 +93,8 @@ inline void obs_sample_bundle_depth(size_t hops) {
 inline obs::Counter& obs_bundle_pruned_counter() {
   static obs::Counter& c = obs::registry().counter(
       "bref_bundle_entries_pruned_total",
-      "Bundle entries retired by reclaim_older (cleaner/maintenance)");
+      "Bundle entries retired by reclaim_older, at the update or by a "
+      "maintenance sweep");
   return c;
 }
 
@@ -256,13 +265,14 @@ class Bundle {
   /// than `oldest_active` plus the one version that satisfies it; retire
   /// the rest through EBR's recycle path (supplementary B), which returns
   /// them to their owners' pools after the grace period. Returns #entries
-  /// retired. Skips (returns 0) while the link is claimed.
+  /// retired. Skips (returns 0) while the link is claimed. Any number of
+  /// calls may run at once, each with its own bound.
   size_t reclaim_older(timestamp_t oldest_active, Ebr& ebr, int tid) {
     // Root before stamp, and acquire: an update whose claim the stamp load
     // misses pushes after this load, so the whole-chain cut below cannot
     // remove the pair it superseded (which a snapshot between the two
-    // stamps still needs).
-    Entry* root = older_.load(std::memory_order_acquire);
+    // stamps still needs). seq_cst for BundlePruner's mark (see there).
+    Entry* root = older_.load(std::memory_order_seq_cst);
     if (root == nullptr) return 0;
     SyncHooks::run(SyncHooks::reclaim_between_loads);
     const timestamp_t t = ts_.load(std::memory_order_acquire);
@@ -294,15 +304,24 @@ class Bundle {
       // release half is for readers mid-walk that load the nullptr.
       stale = e->next.exchange(nullptr, std::memory_order_acq_rel);
     }
+    // Take each link before retiring past it: a concurrent cut that kept an
+    // entry of this tail exchanges that entry's `next` too, and the RMWs on
+    // one link are totally ordered, so only the one that reads it non-null
+    // retires what follows (relaxed: the entries' fields are covered above).
     size_t n = 0;
     while (stale != nullptr) {
-      Entry* next = stale->next.load(std::memory_order_relaxed);
+      Entry* next = stale->next.exchange(nullptr, std::memory_order_relaxed);
       ebr.retire_recycle(tid, stale);
       stale = next;
       ++n;
     }
     if (n != 0) obs_bundle_pruned_counter().add(tid, n);
     return n;
+  }
+
+  /// Whether the chain holds a superseded version: what a cut left behind.
+  bool has_older() const {
+    return older_.load(std::memory_order_acquire) != nullptr;
   }
 
   // -- introspection (tests, space-overhead accounting) -----------------
@@ -352,9 +371,10 @@ class Bundle {
   }
 
   /// Move a superseded pair onto the chain. Only the claim holder pushes,
-  /// so the CAS races only the cleaner's whole-chain cut. Release: a
-  /// reader that acquire-loads the root sees the entry's fields, and the
-  /// RMW extends the release sequence of every earlier push.
+  /// so the CAS races only a whole-chain cut. Release: a reader that
+  /// acquire-loads the root sees the entry's fields, and the RMW extends the
+  /// release sequence of every earlier push. seq_cst for BundlePruner's
+  /// mark (see there); an x86 CAS costs the same either way.
   void push(int tid, NodeT* ptr, timestamp_t ts) {
     Entry* e = EntryPool<Entry>::instance().acquire(tid);
     e->ptr = ptr;
@@ -362,7 +382,7 @@ class Bundle {
     Entry* root = older_.load(std::memory_order_relaxed);
     do {
       e->next.store(root, std::memory_order_relaxed);
-    } while (!older_.compare_exchange_weak(root, e, std::memory_order_release,
+    } while (!older_.compare_exchange_weak(root, e, std::memory_order_seq_cst,
                                            std::memory_order_relaxed));
   }
 
@@ -371,9 +391,86 @@ class Bundle {
   std::atomic<Entry*> older_{nullptr};  // superseded versions, newest first
 };
 
+/// The prune of one bundled structure (DESIGN.md §2, §6): the paper's
+/// cleaner (supplementary B), moved to the update. Every update cuts the
+/// bundles it extended once it has finalized them (after_update), and marks
+/// the structure when a cut had to keep a superseded version; an update of a
+/// structure that does not reclaim cuts nothing and always marks. The
+/// structure's sweep, prune_bundles, walks only when the mark is set
+/// (sweep()).
+///
+/// An update reads the mark before it sets it, so the line stays shared
+/// while the mark is up. That is the store-buffering pattern, safe only
+/// with seq_cst on both sides: the update pushes (seq_cst CAS) before it
+/// reads the mark (seq_cst), and the sweep clears the mark (seq_cst
+/// exchange) before it loads any chain root (seq_cst). So an update that
+/// reads a mark about to be cleared pushed before the clearing sweep loads
+/// that root.
+class BundlePruner {
+ public:
+  BundlePruner(const GlobalTimestamp& gts, const RqTracker& rq, Ebr& ebr,
+               bool reclaim)
+      : gts_(gts), rq_(rq), ebr_(ebr), reclaim_(reclaim) {}
+
+  /// Cut the `n` bundles an update has just finalized. The update still
+  /// holds their node locks and, when reclaiming, its EBR pin, and the
+  /// entries it cuts recycle through its own bag. The bound is read after
+  /// the update's clock tick, so with no older snapshot active it covers
+  /// the update's own stamp and the chain goes whole. A bound read before
+  /// the tick, as any cached one is, would keep the superseded pair on
+  /// every link the update changes.
+  template <typename NodeT>
+  void after_update(int tid, const typename Bundle<NodeT>::Prepared* p,
+                    int n) {
+    bool kept = !reclaim_;
+    if (reclaim_) {
+      const timestamp_t bound = rq_.oldest_active_nowait(gts_);
+      for (int i = 0; i < n; ++i) {
+        p[i].bundle->reclaim_older(bound, ebr_, tid);
+        kept = kept || p[i].bundle->has_older();
+      }
+    }
+    if (kept) mark();
+  }
+
+  /// One sweep: while the mark is down, return 0 without walking.
+  /// Otherwise clear it and call `walk(cut)`, which passes every bundle of
+  /// the structure to `cut`; a bundle the sweep leaves a superseded version
+  /// in marks the structure again. Returns the entries retired.
+  template <typename Walk>
+  size_t sweep(int tid, Walk&& walk) {
+    if (!residue_->load(std::memory_order_relaxed) ||
+        !residue_->exchange(false, std::memory_order_seq_cst))
+      return 0;
+    const timestamp_t bound = rq_.oldest_active(gts_);
+    Ebr::Guard g(ebr_, tid);
+    size_t n = 0;
+    bool kept = false;
+    walk([&](auto& bundle) {
+      n += bundle.reclaim_older(bound, ebr_, tid);
+      kept = kept || bundle.has_older();
+    });
+    if (kept) mark();
+    return n;
+  }
+
+ private:
+  void mark() {
+    if (!residue_->load(std::memory_order_seq_cst))
+      residue_->store(true, std::memory_order_seq_cst);
+  }
+
+  const GlobalTimestamp& gts_;
+  const RqTracker& rq_;
+  Ebr& ebr_;
+  const bool reclaim_;
+  CachePadded<std::atomic<bool>> residue_;
+};
+
 /// Algorithm 1 (LinearizeUpdateOperation): prepare every bundle, advance the
-/// global timestamp, run the linearization point, finalize. `bundles` pairs
-/// each bundle with the new link value it must record; `linearize` is the
+/// global timestamp, run the linearization point, finalize; then cut the
+/// finalized bundles (BundlePruner::after_update). `bundles` pairs each
+/// bundle with the new link value it must record; `linearize` is the
 /// data-structure-specific linearization action (pointer swing or flag set).
 ///
 /// Note on the paper text: Alg. 1 line 7 reads FinalizeBundle(b, ts+1), but
@@ -382,7 +479,7 @@ class Bundle {
 /// starting at 0); we follow the figure. See DESIGN.md §1.
 template <typename NodeT, typename LinearizeFn>
 timestamp_t linearize_update(
-    GlobalTimestamp& gts, int tid,
+    GlobalTimestamp& gts, BundlePruner& pruner, int tid,
     std::initializer_list<std::pair<Bundle<NodeT>*, NodeT*>> bundles,
     LinearizeFn&& linearize) {
   typename Bundle<NodeT>::Prepared prepared[4];
@@ -396,6 +493,7 @@ timestamp_t linearize_update(
   linearize();  // the operation's linearization point
   SyncHooks::run(SyncHooks::before_finalize);
   for (int i = 0; i < n; ++i) Bundle<NodeT>::finalize(prepared[i], ts);
+  pruner.after_update<NodeT>(tid, prepared, n);
   return ts;
 }
 

@@ -4,8 +4,9 @@
 //
 // Every update in every bundled structure moves the version it supersedes
 // into one BundleEntry per changed bundle (Algorithm 2 line 2; the newest
-// version lives inline in the bundle), and the background cleaner retires
-// each pruned entry through EBR. With plain new/delete the allocator — not
+// version lives inline in the bundle), and the cut that prunes it — the
+// update's own, or a maintenance sweep's — retires it through EBR. With
+// plain new/delete the allocator — not
 // the algorithm — bounds update throughput in update-heavy mixes (the TR
 // follow-up, arXiv:2201.00874, singles out entry overheads as the cost to
 // beat). This pool makes the steady-state entry path allocation-free:
@@ -18,9 +19,10 @@
 //     unmapped).
 //   * Entries are stamped at construction with the tid whose slot
 //     allocated them (pool_tid). release() routes an entry back to its
-//     *owner's* inbox no matter which thread frees it — the cleaner thread
-//     drains EBR bags, so recycled entries flow cleaner -> updater without
-//     any thread ever pushing to a list another thread pops from
+//     *owner's* inbox no matter which thread frees it — whichever thread
+//     drains the EBR bag (the updater that cut the entry, or a maintenance
+//     worker), recycled entries flow back to their owner without any
+//     thread ever pushing to a list another thread pops from
 //     (single-producer free list + MPSC inbox; the inbox push is a CAS
 //     prepend, which is ABA-safe because nothing ever pops a single node).
 //   * Entry objects are constructed once and never destructed; "free"

@@ -1,11 +1,13 @@
 #pragma once
 // Active-range-query tracker (`activeRqTsArray`, supplementary B).
 //
-// Each range query announces the snapshot timestamp it runs at; the bundle
-// cleaner uses the minimum announced value to decide which bundle entries
+// Each range query announces the snapshot timestamp it runs at; every cut
+// of a bundle chain — an update's own, right after it finalizes, and the
+// sweep's — uses the minimum announced value to decide which bundle entries
 // are dead. Announcing is a two-step protocol — PENDING, then the value —
 // because reading the global timestamp and publishing it cannot be one
-// atomic action; the cleaner waits out PENDING slots so it can never miss a
+// atomic action; the sweep waits out PENDING slots, and an update, which
+// must not wait, cuts nothing while one is in flight, so neither can miss a
 // query that has read the clock but not yet published its value.
 //
 // The range-query protocol around the announce lives here too, once for the
@@ -40,7 +42,7 @@ class RqTracker {
   /// cross-shard range queries (src/shard/sharded_set.h): the coordinator
   /// marks every overlapping shard's tracker PENDING, reads the shared
   /// clock ONCE, then publish()es that value everywhere. The safety
-  /// argument is begin()'s, per shard: a cleaner that scans this slot
+  /// argument is begin()'s, per shard: a cut whose scan read this slot
   /// before the PENDING store read its clock bound before our clock read,
   /// so it pruned only below our timestamp.
   void announce_pending(int tid) noexcept {
@@ -55,7 +57,7 @@ class RqTracker {
   /// stores stream through the write buffer instead of each waiting out a
   /// read round-trip. Each store carries exactly announce_pending()'s
   /// per-shard ordering guarantee; batching reorders nothing a concurrent
-  /// cleaner could distinguish (it observes one slot, not the batch).
+  /// scan could distinguish (it observes one slot, not the batch).
   static void announce_pending_all(int tid, RqTracker* const* trackers,
                                    size_t n) noexcept {
     for (size_t i = 0; i < n; ++i) trackers[i]->hwm_.note(tid);
@@ -89,24 +91,40 @@ class RqTracker {
     return ts;
   }
 
-  /// Oldest timestamp any active or future range query can observe.
-  /// Safe lower bound for pruning: reads the clock first (future queries
-  /// observe >= this), then scans slots, waiting out in-flight announces.
+  /// Oldest timestamp any active or future range query can observe: the
+  /// sweep's bound. Waits out in-flight announces.
   timestamp_t oldest_active(const GlobalTimestamp& gts) const noexcept {
+    return scan<true>(gts);
+  }
+
+  /// The same bound for an update's own cut, which never waits: an announce
+  /// in flight makes it 0, which every snapshot satisfies. Under unique
+  /// stamps (T = 1) only a sentinel's first link is stamped 0, so such a
+  /// cut keeps every version.
+  timestamp_t oldest_active_nowait(const GlobalTimestamp& gts) const noexcept {
+    return scan<false>(gts);
+  }
+
+ private:
+  /// Safe lower bound for pruning: reads the clock first (future queries
+  /// observe >= this), then scans slots.
+  template <bool kWait>
+  timestamp_t scan(const GlobalTimestamp& gts) const noexcept {
     timestamp_t oldest = gts.read();
     const int n = hwm_.get();
     for (int i = 0; i < n; ++i) {
       Backoff bo;
       timestamp_t v;
       while ((v = slots_[i]->load(std::memory_order_seq_cst)) ==
-             kAnnouncePending)
+             kAnnouncePending) {
+        if constexpr (!kWait) return 0;
         bo.pause();
+      }
       if (v != kNone && v < oldest) oldest = v;
     }
     return oldest;
   }
 
- private:
   TidHwm hwm_;
   mutable CachePadded<std::atomic<timestamp_t>> slots_[kMaxThreads] = {};
 

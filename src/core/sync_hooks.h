@@ -8,7 +8,7 @@
 // contains() and must also see it in a subsequent range query — is only
 // testable if we can force a thread to stall in that window. The inline
 // newest version adds two more windows, one in an update's claim and one in
-// the cleaner's pass. These hooks are no-ops (one relaxed load) unless a
+// a cut of a chain. These hooks are no-ops (one relaxed load) unless a
 // test installs a callback.
 
 #include <atomic>
@@ -38,7 +38,8 @@ struct SyncHooks {
 
   /// Fired after a range query has read the clock but before it replaces
   /// its PENDING announce with that value — the window oldest_active() must
-  /// wait out. Two call sites: RqTracker::begin(), and the
+  /// wait out, and in which an update's own cut keeps every version. Two
+  /// call sites: RqTracker::begin(), and the
   /// ShardedSet::Snapshot constructor between its one clock read and the
   /// publish loop over every overlapped shard.
   inline static std::atomic<Fn> rq_mid_announce{nullptr};

@@ -111,7 +111,7 @@ class BundledCitrus {
         continue;
       Node* fresh = new Node(key, val);
       linearize_update<Node>(
-          gts_, tid,
+          gts_, pruner_, tid,
           {{&r.pred->bundles[r.dir], fresh},
            {&fresh->bundles[0], nullptr},
            {&fresh->bundles[1], nullptr}},
@@ -177,23 +177,21 @@ class BundledCitrus {
     return out.size() - base;
   }
 
-  // -- cleaner hook -------------------------------------------------------
+  // -- maintenance hook (see bundled_list.h) ------------------------------
   size_t prune_bundles(int tid) {
-    const timestamp_t oldest = rq_.oldest_active(gts_);
-    size_t n = 0;
-    Ebr::Guard g(ebr_, tid);
-    std::vector<Node*> stack{root_};
-    while (!stack.empty()) {
-      Node* node = stack.back();
-      stack.pop_back();
-      n += node->bundles[0].reclaim_older(oldest, ebr_, tid);
-      n += node->bundles[1].reclaim_older(oldest, ebr_, tid);
-      if (Node* l = node->child[0].load(std::memory_order_acquire))
-        stack.push_back(l);
-      if (Node* r = node->child[1].load(std::memory_order_acquire))
-        stack.push_back(r);
-    }
-    return n;
+    return pruner_.sweep(tid, [&](auto&& cut) {
+      std::vector<Node*> stack{root_};
+      while (!stack.empty()) {
+        Node* node = stack.back();
+        stack.pop_back();
+        cut(node->bundles[0]);
+        cut(node->bundles[1]);
+        if (Node* l = node->child[0].load(std::memory_order_acquire))
+          stack.push_back(l);
+        if (Node* r = node->child[1].load(std::memory_order_acquire))
+          stack.push_back(r);
+      }
+    });
   }
 
   // -- substrate access ---------------------------------------------------
@@ -299,7 +297,7 @@ class BundledCitrus {
 
   void remove_simple(int tid, Node* pred, Node* curr, int dir, Node* splice) {
     linearize_update<Node>(
-        gts_, tid, {{&pred->bundles[dir], splice}},
+        gts_, pruner_, tid, {{&pred->bundles[dir], splice}},
         [&] {
           curr->marked.store(true, std::memory_order_release);
           pred->child[dir].store(splice, std::memory_order_release);
@@ -342,7 +340,7 @@ class BundledCitrus {
       copy->child[0].store(left, std::memory_order_relaxed);
       copy->child[1].store(succ_right, std::memory_order_relaxed);
       linearize_update<Node>(
-          gts_, tid,
+          gts_, pruner_, tid,
           {{&pred->bundles[dir], copy},
            {&copy->bundles[0], left},
            {&copy->bundles[1], succ_right}},
@@ -357,7 +355,7 @@ class BundledCitrus {
       copy->child[0].store(left, std::memory_order_relaxed);
       copy->child[1].store(right, std::memory_order_relaxed);
       linearize_update<Node>(
-          gts_, tid,
+          gts_, pruner_, tid,
           {{&pred->bundles[dir], copy},
            {&copy->bundles[0], left},
            {&copy->bundles[1], right},
@@ -408,6 +406,7 @@ class BundledCitrus {
   mutable Ebr ebr_;
   mutable Urcu rcu_;
   const bool reclaim_;
+  BundlePruner pruner_{gts_, rq_, ebr_, reclaim_};
   Node* root_;
 };
 

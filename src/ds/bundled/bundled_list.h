@@ -90,7 +90,7 @@ class BundledList {
       // Two bundles change: the new node's (-> curr) and the predecessor's
       // (-> fresh); the linearization point is swinging pred->next.
       linearize_update<Node>(
-          gts_, tid, {{&fresh->bundle, curr}, {&pred->bundle, fresh}},
+          gts_, pruner_, tid, {{&fresh->bundle, curr}, {&pred->bundle, fresh}},
           [&] { pred->next.store(fresh, std::memory_order_release); });
       return true;
     }
@@ -111,7 +111,7 @@ class BundledList {
       // unlink shares this critical section (Section 4). The removed
       // node's own bundle is left untouched.
       linearize_update<Node>(
-          gts_, tid, {{&pred->bundle, succ}},
+          gts_, pruner_, tid, {{&pred->bundle, succ}},
           [&] { curr->marked.store(true, std::memory_order_release); });
       pred->next.store(succ, std::memory_order_release);
       ebr_.retire(tid, curr);
@@ -154,8 +154,8 @@ class BundledList {
   /// coordinated cross-shard range query (src/shard/sharded_set.h;
   /// capability: coordinated_rq). Caller preconditions, both established
   /// BEFORE `ts` was read off the shared clock: (1) an announce of `ts` in
-  /// rq_tracker() — it fences the cleaner (any prune concurrent with it
-  /// used a bound <= ts, so every node live at ts keeps an entry satisfying
+  /// rq_tracker() — it fences every prune (any cut concurrent with it used
+  /// a bound <= ts, so every node live at ts keeps an entry satisfying
   /// ts); (2) when reclaiming, an EBR pin on ebr() — a node removed after
   /// ts was then retired while the caller was pinned, so the walk cannot
   /// touch freed memory. The seek runs after the clock read, so the node it
@@ -171,22 +171,20 @@ class BundledList {
     return out.size() - base;
   }
 
-  // -- cleaner hook (supplementary B) ------------------------------------
-  /// Prune bundle entries no active range query can need. Returns the
-  /// number of entries retired. `tid` must be a dedicated cleaner slot.
+  // -- maintenance hook (supplementary B) --------------------------------
+  /// Sweep the list for the bundle entries its updates' own cuts had to
+  /// keep, once no active range query needs them (BundlePruner::sweep):
+  /// walks only when an update left one. Returns the number of entries
+  /// retired. `tid` must be a dedicated maintenance slot.
   size_t prune_bundles(int tid) {
-    const timestamp_t oldest = rq_.oldest_active(gts_);
-    size_t n = 0;
-    Ebr::Guard g(ebr_, tid);
-    Node* curr = head_;
-    while (curr != nullptr) {
-      n += curr->bundle.reclaim_older(oldest, ebr_, tid);
-      curr = curr->next.load(std::memory_order_acquire);
-    }
-    return n;
+    return pruner_.sweep(tid, [&](auto&& cut) {
+      for (Node* c = head_; c != nullptr;
+           c = c->next.load(std::memory_order_acquire))
+        cut(c->bundle);
+    });
   }
 
-  // -- substrate access (benches, cleaner thread) -------------------------
+  // -- substrate access (benches, maintenance) ----------------------------
   GlobalTimestamp& global_timestamp() { return gts_; }
   RqTracker& rq_tracker() { return rq_; }
   Ebr& ebr() { return ebr_; }
@@ -269,6 +267,7 @@ class BundledList {
   RqTracker rq_;
   mutable Ebr ebr_;
   const bool reclaim_;
+  BundlePruner pruner_{gts_, rq_, ebr_, reclaim_};
   Node* head_;
   Node* tail_;
 };

@@ -209,7 +209,8 @@ class BundledSkipList {
       for (int l = 0; l <= top; ++l)
         fresh->next(l).store(succs[l], std::memory_order_relaxed);
       linearize_update<Node>(
-          gts_, tid, {{&fresh->bundle, succs[0]}, {&preds[0]->bundle, fresh}},
+          gts_, pruner_, tid,
+          {{&fresh->bundle, succs[0]}, {&preds[0]->bundle, fresh}},
           [&] {
             for (int l = 0; l <= top; ++l)
               preds[l]->next(l).store(fresh, std::memory_order_release);
@@ -246,7 +247,7 @@ class BundledSkipList {
       if (!valid) continue;
       Node* succ0 = victim->next(0).load(std::memory_order_acquire);
       linearize_update<Node>(
-          gts_, tid, {{&preds[0]->bundle, succ0}},
+          gts_, pruner_, tid, {{&preds[0]->bundle, succ0}},
           [&] { victim->marked.store(true, std::memory_order_release); });
       if (top >= kTallLevel) tall_->fetch_sub(1, std::memory_order_relaxed);
       for (int l = top; l >= 0; --l)
@@ -308,17 +309,13 @@ class BundledSkipList {
     return out.size() - base;
   }
 
-  // -- cleaner hook -------------------------------------------------------
+  // -- maintenance hook (see bundled_list.h) ------------------------------
   size_t prune_bundles(int tid) {
-    const timestamp_t oldest = rq_.oldest_active(gts_);
-    size_t n = 0;
-    Ebr::Guard g(ebr_, tid);
-    Node* curr = head_;
-    while (curr != nullptr) {
-      n += curr->bundle.reclaim_older(oldest, ebr_, tid);
-      curr = curr->next(0).load(std::memory_order_acquire);
-    }
-    return n;
+    return pruner_.sweep(tid, [&](auto&& cut) {
+      for (Node* c = head_; c != nullptr;
+           c = c->next(0).load(std::memory_order_acquire))
+        cut(c->bundle);
+    });
   }
 
   // -- substrate access ---------------------------------------------------
@@ -578,6 +575,7 @@ class BundledSkipList {
   RqTracker rq_;
   mutable Ebr ebr_;
   const bool reclaim_;
+  BundlePruner pruner_{gts_, rq_, ebr_, reclaim_};
   Node* head_;
   Node* tail_;
   /// Nodes of height above kTallLevel, one in 2^kTallLevel: insert and

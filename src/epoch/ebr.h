@@ -156,7 +156,7 @@ class Ebr {
   /// contract to retire(tid, p), but once the grace period elapses the
   /// object is handed to `T::recycle(T*)` (for BundleEntry: back to its
   /// owner's EntryPool slot) instead of the heap. The drain runs on the
-  /// retiring thread, so a cleaner pruning entries pushes them to each
+  /// retiring thread, so a thread pruning entries pushes them to each
   /// owner's pool inbox without ever calling the allocator.
   template <typename T>
   void retire_recycle(int tid, T* p) {
@@ -165,8 +165,8 @@ class Ebr {
 
   uint64_t epoch() const { return global_epoch_.load(std::memory_order_acquire); }
 
-  /// Epoch-integration hook for threads whose pins span long scans (the
-  /// bundle cleaner's pattern: one pin around a whole-structure prune
+  /// Epoch-integration hook for threads whose pins span long scans (a
+  /// maintenance sweep's pattern: one pin around a whole-structure prune
   /// pass). Such a thread blocks every advance while pinned, so the
   /// normal every-64-pins cadence starves: retired objects pile up in
   /// stamped bags and — on the pooled entry path — recycling stalls while

@@ -6,9 +6,11 @@
 // The service owns one worker thread PER SHARD of a ShardedSet (or a
 // single worker for a plain set) and drives every background duty the
 // implementation exposes through AnyOrderedSet::maintain(): bundle
-// reconciliation (prune_bundles, only when the instance reclaims), the
-// EBR-RQ limbo drain (flush_limbo), and Ebr::quiesce so long prune pins
-// never starve epoch advancement. Typed structures join through
+// reconciliation (prune_bundles, only when the instance reclaims; it walks
+// only what updates' own cuts left behind, so a pass over a structure with
+// none reads one flag), the EBR-RQ limbo drain (flush_limbo), and
+// Ebr::quiesce so long prune pins never starve epoch advancement. Typed
+// structures join through
 // detail::AnySetAdapter (registry.h) or a registry-created instance.
 //
 // Rate control: a timer is the only wake-up source. Each worker sleeps

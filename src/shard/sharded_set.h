@@ -24,10 +24,11 @@
 // instant. Each shard's bundle traversal at T returns exactly that shard's
 // state at T (the paper's single-structure guarantee, whose seq_cst
 // clock-ordering argument only needs the counter to be shared); the
-// concatenation is therefore the whole set's state at T. Per-shard cleaner
-// safety is begin()'s argument, run per tracker: a cleaner pass that
-// missed our PENDING announce read its prune bound from the clock before
-// we read T, so it pruned only entries no query at >= T can need.
+// concatenation is therefore the whole set's state at T. Per-shard pruning
+// safety is begin()'s argument, run per tracker: a cut (an update's or a
+// sweep's) that missed our PENDING announce read its prune bound from the
+// clock before we read T, so it pruned only entries no query at >= T can
+// need.
 //
 // When the inner technique cannot coordinate (no shareable clock / no
 // fixed-timestamp collection — anything without the coordinated_rq
@@ -331,7 +332,7 @@ class ShardedSet final : public AnyOrderedSet {
   /// Why reordering the per-shard steps preserves §6's argument
   /// (DESIGN.md §6): both safety properties are per shard and only
   /// require shard i's pin AND its PENDING announce to precede the clock
-  /// read. A concurrent cleaner observes one slot, not the batch, so
+  /// read. A concurrent prune observes one slot, not the batch, so
   /// interleaving shard j's stores between shard i's prepare and confirm
   /// is indistinguishable from scheduler timing under a sequential loop.
   /// The pin is established when confirm returns — before the clock read

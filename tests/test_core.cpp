@@ -269,19 +269,23 @@ class BundleClaimWindow : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BundleClaimWindow, OlderSnapshotsFindTheSupersededLink) {
   using namespace bundle_stall_test;
   GlobalTimestamp gts(GetParam());
+  RqTracker rq;
+  Ebr ebr;
+  BundlePruner leaky(gts, rq, ebr, /*reclaim=*/false);  // cuts nothing
   Bundle<FakeNode> b;
   FakeNode n0{0}, n1{1}, n2{2};
   b.init(&n0, 0);
   // tid 0 spends one relaxed-mode reuse first, so the next update ticks
   // the clock: the link reads (n1, 1) over (n0, 0) under both policies.
   if (GetParam() > 1) gts.update_ts(0);
-  ASSERT_EQ(linearize_update<FakeNode>(gts, 0, {{&b, &n1}}, [] {}), 1u);
+  ASSERT_EQ(linearize_update<FakeNode>(gts, leaky, 0, {{&b, &n1}}, [] {}),
+            1u);
   const auto before = b.snapshot_entries();
 
   arm(SyncHooks::after_claim);
   timestamp_t stamp = 0;
   std::thread updater([&] {
-    stamp = linearize_update<FakeNode>(gts, 1, {{&b, &n2}}, [] {});
+    stamp = linearize_update<FakeNode>(gts, leaky, 1, {{&b, &n2}}, [] {});
   });
   await_stalled();
   // Inside the window: the link is claimed, the superseded pair is on the
@@ -369,13 +373,16 @@ TEST(Bundle, CleanerBetweenRootAndStampKeepsThePushedPair) {
 
 TEST(LinearizeUpdate, OrdersPrepareAdvanceLinearizeFinalize) {
   GlobalTimestamp gts;
+  RqTracker rq;
+  Ebr ebr;
+  BundlePruner leaky(gts, rq, ebr, /*reclaim=*/false);
   Bundle<FakeNode> b1, b2;
   FakeNode n1{1}, n2{2};
   b1.init(&n1, 0);
   b2.init(&n2, 0);
   bool linearized = false;
   timestamp_t ts = linearize_update<FakeNode>(
-      gts, 0, {{&b1, &n2}, {&b2, &n1}}, [&] { linearized = true; });
+      gts, leaky, 0, {{&b1, &n2}, {&b2, &n1}}, [&] { linearized = true; });
   EXPECT_TRUE(linearized);
   EXPECT_EQ(ts, 1u);
   EXPECT_EQ(b1.newest(), &n2);
@@ -386,6 +393,9 @@ TEST(LinearizeUpdate, OrdersPrepareAdvanceLinearizeFinalize) {
 
 TEST(LinearizeUpdate, HooksFire) {
   GlobalTimestamp gts;
+  RqTracker rq;
+  Ebr ebr;
+  BundlePruner leaky(gts, rq, ebr, /*reclaim=*/false);
   Bundle<FakeNode> b;
   FakeNode n{1};
   b.init(&n, 0);
@@ -393,7 +403,7 @@ TEST(LinearizeUpdate, HooksFire) {
   fired = 0;
   SyncHooks::after_prepare.store([] { fired.fetch_add(1); });
   SyncHooks::before_finalize.store([] { fired.fetch_add(10); });
-  linearize_update<FakeNode>(gts, 0, {{&b, &n}}, [] {});
+  linearize_update<FakeNode>(gts, leaky, 0, {{&b, &n}}, [] {});
   SyncHooks::reset();
   EXPECT_EQ(fired.load(), 11);
 }
@@ -476,8 +486,13 @@ TEST(BundlePruning, PrunesQuiescentListToMinimalEntries) {
   // maintain() prunes only instances that reclaim.
   detail::AnySetAdapter<BundleListSet> set(1, /*reclaim=*/true);
   BundleListSet& list = set.underlying();
+  // Each update cuts its own bundles at once; a snapshot held across the
+  // updates makes them keep the versions it needs, which only the
+  // background sweep can take once it ends.
+  list.rq_tracker().begin(1, list.global_timestamp());
   for (KeyT k = 1; k <= 50; ++k) list.insert(0, k, k);
   for (KeyT k = 1; k <= 50; k += 2) list.remove(0, k);
+  list.rq_tracker().end(1);
   const size_t before = list.total_bundle_entries();
   {
     MaintenanceService maint(set, {.interval = std::chrono::milliseconds(1),

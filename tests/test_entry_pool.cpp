@@ -104,10 +104,21 @@ TEST(EntryPool, MallocBypassTagsAndRoundTrips) {
 // of the OS scheduler, which is exactly what a regression test must not
 // depend on. (The concurrent path is exercised by the churn test below
 // and measured by bench/ablation_entry_path.)
+//
+// Exact by construction: each update cuts the entry it pushed into its own
+// EBR bag, and each round's quiesces drain the bags, so no more than two
+// rounds' updates (400) hold entries, and no more than 512 live keys plus
+// two rounds' removes hold nodes of one tower height. The slot starts with
+// kPrecarved free blocks of every class, so a class never has to carve a
+// block (and take a slab) because the steady state needed more of it than
+// the warm-up did: a miss means a block did not come home.
 TEST(EntryPool, SteadyStateUpdatePathHasZeroPoolMisses) {
   EntryPoolRegistry::instance().set_pooling_enabled(true);
   SkipList sl(1, /*reclaim=*/true);
   constexpr int kCleanerTid = 1;  // the test's own second id
+  constexpr size_t kPrecarved = 1024;
+  testutil::precarve<BundleEntry<SkipNode>>(0, kPrecarved);
+  testutil::precarve<SkipNode>(0, kPrecarved);
   Xoshiro256 rng(41);
   auto round = [&] {
     for (int i = 0; i < 200; ++i) {

@@ -1,16 +1,20 @@
 // Memory-reclamation tests (Section 7 / supplementary B): bundle-entry
-// recycling via background maintenance (MaintenanceService driving
-// prune_bundles, the paper's cleaner), EBR-backed node reclamation, the
-// paper's space-overhead claim (amortized two bundle entries per insert),
-// and limbo-list bounding for the EBR-RQ baselines.
+// recycling, by each update's own cut and by background maintenance
+// (MaintenanceService driving prune_bundles, the paper's cleaner, over what
+// those cuts kept), EBR-backed node reclamation, the paper's space-overhead
+// claim (amortized two bundle entries per insert), and limbo-list bounding
+// for the EBR-RQ baselines.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 #include "api/registry.h"
+#include "core/sync_hooks.h"
 #include "shard/maintenance.h"
 #include "test_util.h"
 
@@ -119,6 +123,123 @@ TEST(Cleaner, CitrusBundlesPrunedUnderChurn) {
   ct.prune_bundles(0);
   size_t live_bundles = 2 * (ct.size_slow() + 1);  // two per node + root
   EXPECT_EQ(ct.total_bundle_entries(), live_bundles);
+}
+
+// ---------- the cut at the update ----------
+// Every update of a reclaiming bundled structure cuts the bundles it
+// extended once it has finalized them, against a bound read after its own
+// clock tick that never waits (BundlePruner, DESIGN.md §2); the sweep only
+// takes what those cuts had to keep.
+
+using Items = std::vector<std::pair<KeyT, ValT>>;
+
+/// One version per live link: the sentinels' links included (the list's and
+/// skip list's head and tail, Citrus's root with its two child links).
+template <typename DS>
+size_t live_links(const DS& ds) {
+  if constexpr (std::is_same_v<DS, BundleCitrusSet>)
+    return 2 * (ds.size_slow() + 1);
+  else
+    return ds.size_slow() + 2;
+}
+
+namespace mid_announce {
+template <typename DS>
+DS* target = nullptr;
+
+// One-shot rq_mid_announce hook: remove 20 while the query that fired it
+// has read the clock but still announces PENDING.
+template <typename DS>
+void remove_20_once() {
+  SyncHooks::rq_mid_announce.store(nullptr, std::memory_order_relaxed);
+  target<DS>->remove(0, 20);
+}
+}  // namespace mid_announce
+
+template <typename DS>
+class PruneAtUpdate : public ::testing::Test {};
+using BundledTypes =
+    ::testing::Types<BundleListSet, BundleSkipListSet, BundleCitrusSet>;
+TYPED_TEST_SUITE(PruneAtUpdate, BundledTypes);
+
+// With no range query active, the bound an update reads after its own
+// tick covers its stamp, so every chain it extended goes whole: the churn
+// leaves one version per live link with no sweep at all. A structure that
+// does not reclaim cuts nothing, and one sweep takes the same versions.
+TYPED_TEST(PruneAtUpdate, QuiescentUpdatesLeaveOneVersionPerLink) {
+  TypeParam ds(1, /*reclaim=*/true);
+  TypeParam leaky(1, /*reclaim=*/false);
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    const KeyT k = 1 + static_cast<KeyT>(rng.next_range(200));
+    if (rng.next_range(2) == 0) {
+      ds.insert(0, k, k);
+      leaky.insert(0, k, k);
+    } else {
+      ds.remove(0, k);
+      leaky.remove(0, k);
+    }
+  }
+  ASSERT_GT(ds.size_slow(), 0u);
+  EXPECT_EQ(ds.total_bundle_entries(), live_links(ds));
+  EXPECT_EQ(ds.prune_bundles(1), 0u);
+  EXPECT_TRUE(ds.check_invariants());
+
+  EXPECT_GT(leaky.total_bundle_entries(), live_links(leaky));
+  EXPECT_GT(leaky.prune_bundles(1), 0u);
+  EXPECT_EQ(leaky.total_bundle_entries(), live_links(leaky));
+  EXPECT_EQ(leaky.to_vector(), ds.to_vector());
+}
+
+// Keys 10, 20, ..., 400 are present at a snapshot announced by hand. Then
+// 15, 55, ..., 375 are inserted and 30, 70, ..., 390 removed: each of the
+// 20 updates changes one distinct link that existed at the snapshot (list
+// and skip list: the predecessor's; Citrus, whose ascending inserts built a
+// right spine: 15 becomes the left child of 20, and 20's right link skips
+// 30). Each such link keeps its newest version and the one the snapshot
+// needs, no more, and once the snapshot ends one sweep takes the rest.
+TYPED_TEST(PruneAtUpdate, UpdatesKeepExactlyWhatAHeldSnapshotNeeds) {
+  TypeParam ds(1, /*reclaim=*/true);
+  for (KeyT k = 10; k <= 400; k += 10) ds.insert(0, k, k);
+  const Items snap = ds.to_vector();
+  ASSERT_EQ(ds.total_bundle_entries(), live_links(ds));
+  const timestamp_t held = ds.rq_tracker().begin(2, ds.global_timestamp());
+  size_t changed = 0;
+  for (KeyT k = 15; k <= 400; k += 40, ++changed) ds.insert(0, k, k);
+  for (KeyT k = 30; k <= 400; k += 40, ++changed) ds.remove(0, k);
+  ASSERT_EQ(changed, 20u);
+  EXPECT_EQ(ds.total_bundle_entries(), live_links(ds) + changed);
+  Items at;
+  ds.range_query_at(2, held, 0, 1000, at);
+  EXPECT_EQ(at, snap);
+  ds.rq_tracker().end(2);
+  EXPECT_EQ(ds.prune_bundles(1), changed);
+  EXPECT_EQ(ds.total_bundle_entries(), live_links(ds));
+  EXPECT_TRUE(ds.check_invariants());
+}
+
+// An update that runs while a query has read the clock but not published
+// it must neither wait for the announce (the hook runs on the query's own
+// thread, so waiting would never end) nor cut: the query's snapshot still
+// needs the link the remove supersedes.
+TYPED_TEST(PruneAtUpdate, UpdateDuringAnAnnounceCutsNothing) {
+  TypeParam ds(1, /*reclaim=*/true);
+  for (KeyT k : {10, 20, 30}) ds.insert(0, k, k);
+  ASSERT_EQ(ds.total_bundle_entries(), live_links(ds));
+  const timestamp_t before = ds.global_timestamp().read();
+  mid_announce::target<TypeParam> = &ds;
+  SyncHooks::rq_mid_announce.store(&mid_announce::remove_20_once<TypeParam>,
+                                   std::memory_order_relaxed);
+  Items out;
+  timestamp_t ts = 0;
+  ds.range_query(1, 0, 100, out, &ts);
+  SyncHooks::reset();
+  EXPECT_EQ(ts, before);
+  EXPECT_EQ(out, (Items{{10, 10}, {20, 20}, {30, 30}}));
+  EXPECT_FALSE(ds.contains(0, 20));
+  EXPECT_EQ(ds.total_bundle_entries(), live_links(ds) + 1);
+  EXPECT_EQ(ds.prune_bundles(2), 1u);
+  EXPECT_EQ(ds.total_bundle_entries(), live_links(ds));
 }
 
 TEST(Ebr, NodesActuallyFreedUnderReclaimingChurn) {

@@ -706,22 +706,37 @@ TEST(Maintenance, PerShardWorkersPruneBundlesUnderChurn) {
   svc.start();
   EXPECT_TRUE(svc.running());
   // Churn on pinned ids 0..3 (the workers occupy dedicated top slots).
-  testutil::run_threads(4, [&](int tid) {
-    ThreadSession sess(s, tid);
-    Xoshiro256 rng(17 + tid);
-    RangeSnapshot out;
-    for (int i = 0; i < 4000; ++i) {
-      const KeyT k = 1 + static_cast<KeyT>(rng.next_range(399));
-      if (rng.next_range(4) == 0)
-        sess.range_query(k, k + 30, out);
-      else if (rng.next_range(2) == 0)
-        sess.insert(k, k);
-      else
-        sess.remove(k);
-    }
-  });
-  // Give the service one more cadence to reconcile the tail, then stop.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Each update cuts its own bundles; a snapshot of every shard, held on id
+  // 4 across the churn, makes those cuts keep what it needs, which only the
+  // workers can prune once it is dropped.
+  {
+    ShardedSet::Snapshot held(s, 4, 0, 399);
+    testutil::run_threads(4, [&](int tid) {
+      ThreadSession sess(s, tid);
+      Xoshiro256 rng(17 + tid);
+      RangeSnapshot out;
+      for (int i = 0; i < 4000; ++i) {
+        const KeyT k = 1 + static_cast<KeyT>(rng.next_range(399));
+        if (rng.next_range(4) == 0)
+          sess.range_query(k, k + 30, out);
+        else if (rng.next_range(2) == 0)
+          sess.insert(k, k);
+        else
+          sess.remove(k);
+      }
+    });
+  }
+  // Let every worker start two more passes, so one ran wholly after the
+  // drop (a worker whose passes found nothing to prune while the snapshot
+  // held every version has backed off for up to 64 ms), then stop.
+  std::vector<uint64_t> passes(svc.workers());
+  for (size_t i = 0; i < svc.workers(); ++i) passes[i] = svc.stats(i).passes;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (size_t i = 0; i < svc.workers(); ++i)
+    while (svc.stats(i).passes < passes[i] + 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
   svc.stop();
   EXPECT_FALSE(svc.running());
   uint64_t total_pruned = 0;
@@ -953,6 +968,8 @@ TEST(SkipListTowers, ChurnAndBothRangePathsStayInsideEachTower) {
 // removed node must come back to that thread's slot, or the steady state
 // keeps taking slabs. Single-threaded with an explicit prune-and-quiesce
 // cadence so the recycle pipeline drains deterministically each round.
+// Exact by the same bound as that test: the slot starts with more free
+// blocks of every class than the churn can hold at once.
 TEST(ShardPools, RoutedUpdatesRecycleWithZeroSteadyStateMisses) {
   using SkipList = BundledSkipList<KeyT, ValT>;
   auto& entries = EntryPool<BundleEntry<SkipList::Node>>::instance();
@@ -963,6 +980,9 @@ TEST(ShardPools, RoutedUpdatesRecycleWithZeroSteadyStateMisses) {
                small_range(4, 0, kKeys, SetOptions{.reclaim = true}));
   // Ids no other test in this suite uses, so both slots start empty.
   constexpr int kTid = 100, kCleanerTid = 101;
+  constexpr size_t kPrecarved = 1024;
+  testutil::precarve<BundleEntry<SkipList::Node>>(kTid, kPrecarved);
+  testutil::precarve<SkipList::Node>(kTid, kPrecarved);
   ThreadSession sess(s, kTid);
   Xoshiro256 rng(43);
   std::set<size_t> shards_hit;

@@ -15,6 +15,7 @@
 #include "api/session.h"
 #include "api/set.h"
 #include "common/random.h"
+#include "core/entry_pool.h"
 
 namespace bref::testutil {
 
@@ -33,6 +34,20 @@ template <typename DS>
 void add_cursor_ballast(DS& ds, KeyT from) {
   for (KeyT k = from; k < from + 2 * DS::kCursorMinNodes; ++k)
     ds.insert(0, k, k);
+}
+
+/// Leave thread `tid`'s slot of EntryPool<T> at least `blocks` free blocks
+/// of every size class: take them, carving what the slot lacks, and hand
+/// them back through the recycle route. A test whose demand per class
+/// never exceeds `blocks` then never carves, whatever its seed, so every
+/// pool miss it counts is a block that did not come home.
+template <typename T>
+void precarve(int tid, size_t blocks) {
+  auto& pool = EntryPool<T>::instance();
+  std::vector<T*> held;
+  for (int cls = 0; cls < EntryPool<T>::kClasses; ++cls)
+    for (size_t i = 0; i < blocks; ++i) held.push_back(pool.acquire(tid, cls));
+  for (T* b : held) EntryPool<T>::release(b);
 }
 
 /// Run `fn(session)` on `n` threads, each with a TypedSession pinned to its
